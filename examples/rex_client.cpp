@@ -17,7 +17,10 @@
  *   --sleep-ms N    forward the server-side test hook (pins the request
  *                   in a handler thread; used by CI's backpressure test)
  *   --deadline-ms N       per-request wall-clock budget; the server
- *                         answers ExhaustedBudget records past it
+ *                         answers ExhaustedBudget records past it. A
+ *                         deadline over 30 s also stretches the client's
+ *                         socket timeout (default 30 s) to the deadline
+ *                         plus 30 s
  *   --max-candidates N    per-request candidate-count budget
  *   --retries N           total attempts on 503/transport errors
  *                         (default 1 = no retries); backoff honours the
@@ -60,6 +63,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -76,6 +80,10 @@
 #include "server/service.hh"
 
 namespace {
+
+/** Transport slack past a long --deadline-ms: queue wait plus the time
+ *  to serialise and send the answer after the budget runs out. */
+constexpr long long kDeadlineMarginSeconds = 30;
 
 std::string
 readAllOfStdin()
@@ -267,7 +275,17 @@ main(int argc, char **argv)
     }
 
     try {
-        server::Client client(host, static_cast<std::uint16_t>(port));
+        // The transport must outwait the server-side budget: a deadline
+        // longer than the default socket timeout gets the deadline plus
+        // a fixed margin for queueing and sending the answer.
+        int timeoutSeconds = server::kClientTimeoutSeconds;
+        if (deadlineMs > timeoutSeconds * 1000LL) {
+            timeoutSeconds = static_cast<int>(std::min<long long>(
+                deadlineMs / 1000 + 1 + kDeadlineMarginSeconds,
+                std::numeric_limits<int>::max()));
+        }
+        server::Client client(host, static_cast<std::uint16_t>(port),
+                              timeoutSeconds);
         if (retries > 1) {
             server::RetryPolicy policy;
             policy.maxAttempts = retries;

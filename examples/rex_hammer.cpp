@@ -22,12 +22,6 @@
  *     --params NAME         model variant (base, ExS, SEA_R, SEA_W,
  *                           SEA_RW; default base)
  *     --jobs N              worker threads (default REX_JOBS else 1)
- *     --peers H:P,...       distribute seed chunks over running rexd
- *                           peers via POST /shard (docs/DISTRIBUTED.md);
- *                           chunks a dead or disagreeing peer drops are
- *                           re-run locally, so the summary is byte-
- *                           identical to a single-node campaign
- *     --peer-timeout S      per-peer-request socket timeout (default 30)
  *
  *   Inspection / triage:
  *     --print SEED          print seed's generated source and exit
@@ -49,13 +43,9 @@
 #include <cstring>
 #include <string>
 
-#include "base/strings.hh"
 #include "engine/batch.hh"
 #include "gen/hammer.hh"
 #include "gen/minimize.hh"
-#include "server/hammerdist.hh"
-#include "server/metrics.hh"
-#include "server/peer.hh"
 
 namespace {
 
@@ -70,7 +60,6 @@ usage(const char *argv0)
                  "          [--chunk N] [--max-candidates N] "
                  "[--max-states N]\n"
                  "          [--params NAME] [--jobs N]\n"
-                 "          [--peers H:P,...] [--peer-timeout S]\n"
                  "          [--print SEED | --check SEED | "
                  "--minimize SEED |\n"
                  "           --promote SEED NAME]\n",
@@ -113,7 +102,6 @@ main(int argc, char **argv)
     std::string promote_name;
     unsigned jobs_override = 0;
     bool jobs_set = false;
-    server::PeerConfig peer_config;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -155,14 +143,6 @@ main(int argc, char **argv)
             jobs_override =
                 static_cast<unsigned>(parseU64(value(), argv[0]));
             jobs_set = true;
-        } else if (arg == "--peers") {
-            for (const std::string &endpoint : split(value(), ',')) {
-                if (!endpoint.empty())
-                    peer_config.endpoints.push_back(endpoint);
-            }
-        } else if (arg == "--peer-timeout") {
-            peer_config.timeoutSeconds =
-                static_cast<int>(parseU64(value(), argv[0]));
         } else if (arg == "--print") {
             action = Action::Print;
             action_seed = parseU64(value(), argv[0]);
@@ -238,24 +218,7 @@ main(int argc, char **argv)
         engine_config.jobs = jobs_override;
     engine::Engine engine(engine_config);
 
-    gen::CampaignSummary summary;
-    if (!peer_config.endpoints.empty()) {
-        server::Metrics peer_metrics;
-        server::PeerPool peers(peer_config, &peer_metrics);
-        summary = server::runDistributedHammer(hammer, engine, peers);
-        std::fprintf(stderr,
-                     "peers: %zu configured, dispatch=%llu "
-                     "redispatch=%llu local_fallback=%llu\n",
-                     peers.configured(),
-                     static_cast<unsigned long long>(
-                         peer_metrics.peerDispatchTotal.load()),
-                     static_cast<unsigned long long>(
-                         peer_metrics.peerRedispatchTotal.load()),
-                     static_cast<unsigned long long>(
-                         peer_metrics.peerLocalFallbackTotal.load()));
-    } else {
-        summary = hammer.run(engine);
-    }
+    gen::CampaignSummary summary = hammer.run(engine);
     std::fputs(summary.render().c_str(), stdout);
     if (config.mode == gen::Mode::Cycle) {
         std::printf("cycle inventory: %zu cycles\n",

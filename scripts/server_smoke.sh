@@ -4,6 +4,8 @@
 #     samples x the paper variant matrix, two rounds;
 #   - round two served from the shared verdict cache (via /metrics);
 #   - malformed input answered with 400, not a crash;
+#   - a budget-tripped campaign resumed via rex-cont-v1 continuation
+#     tokens (--resume-budget) stitches to the unbudgeted answer;
 #   - 503 backpressure from a saturated one-slot queue;
 #   - graceful SIGTERM drain leaving a complete JSONL results file.
 #
@@ -71,6 +73,29 @@ set -e
 grep -q '"error"' "$WORK/bad.out"
 "$CLIENT" --port "$PORT" --health > /dev/null   # still serving
 echo "malformed request: 400"
+
+# Loss-free budget trips (docs/DISTRIBUTED.md): a 2-candidate ceiling
+# trips every check below, and --resume-budget keeps re-POSTing the
+# continuation token until the verdict lands. The stitched stream must
+# be byte-identical to the unbudgeted in-process answer. The daemon
+# runs cache-less so no (test, variant) pair is answered from a cache.
+"$REXD" --port $((PORT + 2)) --no-cache > "$WORK/rexd3.log" 2>&1 &
+wait_healthy $((PORT + 2))
+: > "$WORK/resumed.err"
+for t in SB+pos MP+dmb.sys IRIW+addrs LB+addrs SB+dmb.sy+eret; do
+    for v in base SEA_RW; do
+        timeout 120 "$CLIENT" --port $((PORT + 2)) --builtin "$t" \
+            --variants "$v" --max-candidates 2 --resume-budget 200 \
+            --stable > "$WORK/resumed.out" 2>> "$WORK/resumed.err"
+        "$CLIENT" --builtin "$t" --variants "$v" --stable --direct \
+            > "$WORK/direct.out"
+        diff "$WORK/resumed.out" "$WORK/direct.out" \
+            || { echo "resume mismatch: $t $v"; exit 1; }
+    done
+done
+grep -q "re-posting continuation" "$WORK/resumed.err" \
+    || { echo "campaign never tripped its budget"; exit 1; }
+echo "resume: budget-tripped campaign stitched to the unbudgeted answer"
 
 # Backpressure: one handler thread, a one-slot queue, and a burst of
 # slow requests; some must be shed with 503 (client exit 5) while the

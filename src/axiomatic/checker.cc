@@ -15,7 +15,6 @@
 #include "engine/crashctx.hh"
 #include "engine/governor.hh"
 #include "engine/pool.hh"
-#include "engine/remote.hh"
 
 namespace rex {
 
@@ -427,6 +426,14 @@ runRangeSerial(CandidateEnumerator &enumerator,
  * discipline (in-order, witness fetch-min cutoff) extended with a
  * per-shard completion flag and resume cursor, so a budget trip yields
  * the longest fully-resolved prefix plus the exact cursor after it.
+ *
+ * The shard under the cursor runs on the calling thread before the
+ * rest are submitted. A candidate ceiling is one count shared by every
+ * shard; were the cursor shard to race the others for it, they could
+ * spend all of it while the cursor shard is rolled back, and the piece
+ * would hand back its own starting cursor. Running it first means a
+ * piece always advances by min(ceiling, rest of the cursor shard)
+ * candidates, or by at least one shard.
  */
 RangeRun
 runRangePooled(CandidateEnumerator &enumerator,
@@ -455,52 +462,56 @@ runRangePooled(CandidateEnumerator &enumerator,
         }
     };
 
+    auto runSlot = [&](std::size_t i) {
+        slots[i] = std::make_unique<Slot>();
+        Slot &slot = *slots[i];
+        if (i > cutoff.load()) {
+            slot.cancelled = true;
+            return;
+        }
+        const std::uint64_t startOff = i == 0 ? offset : 0;
+        CandidateEnumerator::Shard shard = shards[begin + i];
+        rexAssert(startOff <= shard.end - shard.begin,
+                  "continuation offset outside its shard");
+        shard.begin += startOff;
+        if (shard.begin == shard.end) {
+            slot.completed = true;
+            return;
+        }
+        StagedAccumulator acc{test, params, /*stopAtFirst=*/true,
+                              /*captureWitness=*/false, governor, plan,
+                              {}, std::nullopt, 0, std::nullopt, 0};
+        const bool completed = enumerator.visitShard(
+            shard,
+            [&](CandidateExecution &cand,
+                const CandidateEnumerator::StagedInfo &info) {
+                if (i > cutoff.load()) {
+                    slot.cancelled = true;
+                    return false;
+                }
+                return acc.consume(cand, info);
+            },
+            governor ? governor->token() : nullptr);
+        slot.completed = completed;
+        slot.witnessed = acc.result.witnesses > 0;
+        if (slot.witnessed)
+            fetchMinCutoff(i);
+        if (!completed && !slot.witnessed && !slot.cancelled) {
+            acc.rollbackAborted();
+            slot.nextOffset = startOff + acc.result.candidates;
+        }
+        slot.result = std::move(acc.result);
+    };
+
+    runSlot(0);
     std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (governor && governor->tripped())
+    futures.reserve(count - 1);
+    for (std::size_t i = 1; i < count; ++i) {
+        // Past a trip or a witness below i, the shard would only merge
+        // as skipped; leave it unsubmitted.
+        if ((governor && governor->tripped()) || i > cutoff.load())
             break;
-        futures.push_back(pool.submit([&, i] {
-            slots[i] = std::make_unique<Slot>();
-            Slot &slot = *slots[i];
-            if (i > cutoff.load()) {
-                slot.cancelled = true;
-                return;
-            }
-            const std::uint64_t startOff = i == 0 ? offset : 0;
-            CandidateEnumerator::Shard shard = shards[begin + i];
-            rexAssert(startOff <= shard.end - shard.begin,
-                      "continuation offset outside its shard");
-            shard.begin += startOff;
-            if (shard.begin == shard.end) {
-                slot.completed = true;
-                return;
-            }
-            StagedAccumulator acc{test, params, /*stopAtFirst=*/true,
-                                  /*captureWitness=*/false, governor,
-                                  plan,
-                                  {}, std::nullopt, 0, std::nullopt, 0};
-            const bool completed = enumerator.visitShard(
-                shard,
-                [&](CandidateExecution &cand,
-                    const CandidateEnumerator::StagedInfo &info) {
-                    if (i > cutoff.load()) {
-                        slot.cancelled = true;
-                        return false;
-                    }
-                    return acc.consume(cand, info);
-                },
-                governor ? governor->token() : nullptr);
-            slot.completed = completed;
-            slot.witnessed = acc.result.witnesses > 0;
-            if (slot.witnessed)
-                fetchMinCutoff(i);
-            if (!completed && !slot.witnessed && !slot.cancelled) {
-                acc.rollbackAborted();
-                slot.nextOffset = startOff + acc.result.candidates;
-            }
-            slot.result = std::move(acc.result);
-        }));
+        futures.push_back(pool.submit([&runSlot, i] { runSlot(i); }));
     }
     for (std::future<void> &future : futures)
         future.get();
@@ -535,9 +546,10 @@ runRangePooled(CandidateEnumerator &enumerator,
         return run;
     }
     // Unsubmitted or cancelled suffix without a witness at or below
-    // it: resume at the first unmerged shard.
+    // it: resume at the start of the first unmerged shard (never the
+    // cursor shard, which always runs and merges).
     run.nextShard = begin + merged;
-    run.nextOffset = merged == 0 ? offset : 0;
+    run.nextOffset = 0;
     return run;
 }
 
@@ -593,8 +605,7 @@ checkTest(const LitmusTest &test, const ModelParams &params,
 ShardRangeOutcome
 checkShardRange(const LitmusTest &test, const ModelParams &params,
                 const ShardRangeSpec &spec, engine::ThreadPool *pool,
-                engine::Governor *governor,
-                engine::RangeDispatcher *remote)
+                engine::Governor *governor)
 {
     ShardRangeOutcome out;
     const std::shared_ptr<const catc::FoldPlan> plan =
@@ -636,112 +647,16 @@ checkShardRange(const LitmusTest &test, const ModelParams &params,
     if (governor)
         governor->noteStage("enumerate");
 
-    auto runLocal = [&](std::uint64_t b, std::uint64_t e,
-                        std::uint64_t off) -> RangeRun {
-        if (b >= e) {
-            RangeRun empty;
-            empty.completed = true;
-            empty.nextShard = e;
-            return empty;
-        }
-        if (pool && pool->threadCount() > 1 &&
-                !engine::ThreadPool::onWorkerThread() && e - b > 1) {
-            return runRangePooled(enumerator, shards, b, e, off, test,
-                                  params, *pool, governor, plan.get());
-        }
-        return runRangeSerial(enumerator, shards, b, e, off, test,
-                              params, governor, plan.get());
-    };
-
     RangeRun total;
-    if (remote && !test.sourceText.empty() &&
-            end - begin >= remote->minShardsToDistribute() &&
-            remote->available()) {
-        const std::string variant = params.name();
-        engine::RangeJobContext ctx;
-        ctx.testSource = &test.sourceText;
-        ctx.variantName = &variant;
-        ctx.planTarget = spec.planTarget;
-        ctx.planSize = shards.size();
-        ctx.fingerprint = spec.jobFingerprint;
-        ctx.deadlineMs = spec.peerDeadlineMs;
-        ctx.cancel = governor ? governor->token() : nullptr;
-        const std::uint64_t per =
-            std::max<std::uint64_t>(1, remote->shardsPerTask());
-        std::vector<engine::RangeTask> tasks;
-        tasks.reserve(
-            static_cast<std::size_t>((end - begin + per - 1) / per));
-        for (std::uint64_t b = begin; b < end; b += per) {
-            engine::RangeTask task;
-            task.shardBegin = b;
-            task.shardEnd = std::min(end, b + per);
-            task.inShardOffset = b == begin ? spec.inShardOffset : 0;
-            tasks.push_back(task);
-        }
-        remote->runTasks(ctx, tasks);
-        // Deterministic in-order merge with local top-up: a task no
-        // peer answered (or answered only partially under its own
-        // budget) is finished locally before merging past it, so a
-        // failed dispatch degrades to local compute and never loses a
-        // shard. Duplicate answers were already dropped per task slot
-        // by the dispatcher, so nothing can merge twice.
-        bool settled = false;
-        for (const engine::RangeTask &task : tasks) {
-            std::uint64_t cursorShard = task.shardBegin;
-            std::uint64_t cursorOffset = task.inShardOffset;
-            if (task.filled) {
-                const engine::RangePartial &part = task.result;
-                total.result.candidates += part.candidates;
-                total.result.consistent += part.consistent;
-                total.result.witnesses += part.witnesses;
-                total.result.constrainedUnpredictable +=
-                    part.constrainedUnpredictable;
-                total.result.unknownSideEffects +=
-                    part.unknownSideEffects;
-                if (total.result.forbiddingAxiom.empty() &&
-                        !part.forbiddingAxiom.empty()) {
-                    total.result.forbiddingAxiom = part.forbiddingAxiom;
-                    total.result.forbiddingCycle.assign(
-                        part.forbiddingCycle.begin(),
-                        part.forbiddingCycle.end());
-                }
-                if (part.witnessed) {
-                    total.witnessed = true;
-                    settled = true;
-                    break;
-                }
-                if (part.completed)
-                    continue;
-                cursorShard = part.nextShard;
-                cursorOffset = part.nextOffset;
-            }
-            if (governor && governor->tripped()) {
-                total.nextShard = cursorShard;
-                total.nextOffset = cursorOffset;
-                settled = true;
-                break;
-            }
-            RangeRun fill =
-                runLocal(cursorShard, task.shardEnd, cursorOffset);
-            mergeInto(total.result, std::move(fill.result));
-            if (fill.witnessed) {
-                total.witnessed = true;
-                settled = true;
-                break;
-            }
-            if (!fill.completed) {
-                total.nextShard = fill.nextShard;
-                total.nextOffset = fill.nextOffset;
-                settled = true;
-                break;
-            }
-        }
-        if (!settled) {
-            total.completed = true;
-            total.nextShard = end;
-        }
+    if (pool && pool->threadCount() > 1 &&
+            !engine::ThreadPool::onWorkerThread() && end - begin > 1) {
+        total = runRangePooled(enumerator, shards, begin, end,
+                               spec.inShardOffset, test, params, *pool,
+                               governor, plan.get());
     } else {
-        total = runLocal(begin, end, spec.inShardOffset);
+        total = runRangeSerial(enumerator, shards, begin, end,
+                               spec.inShardOffset, test, params,
+                               governor, plan.get());
     }
 
     engine::crashContextSetStage("merge");

@@ -39,7 +39,6 @@ namespace rex {
 namespace engine {
 class ThreadPool;
 class Governor;
-class RangeDispatcher;
 } // namespace engine
 
 /** Result of checking one litmus test against the model. */
@@ -114,14 +113,14 @@ CheckResult checkTest(const LitmusTest &test, const ModelParams &params,
 
 /** Witness assignments per shard in the deterministic check plan:
  *  large enough to amortise the per-shard skeleton rebuild, small
- *  enough to split tiny tests. Continuation tokens and `/shard` wire
- *  requests address shards by index into a plan built with exactly
- *  this target, so it is part of the continuation fingerprint. */
+ *  enough to split tiny tests. Continuation tokens address shards by
+ *  index into a plan built with exactly this target, so it is part of
+ *  the continuation fingerprint. */
 inline constexpr std::uint64_t kCheckShardTarget = 256;
 
 /**
  * A shard-granular slice of a staged check — the unit behind
- * continuation tokens and peer dispatch: run shards
+ * continuation tokens: run shards
  * [shardBegin, shardEnd) of the deterministic kCheckShardTarget-style
  * plan, entering the first shard @p inShardOffset candidates past its
  * start. Range checks are always stop_at_first and witness-less (the
@@ -137,15 +136,9 @@ struct ShardRangeSpec {
     /** One past the last shard; clamped to the plan size. */
     std::uint64_t shardEnd = ~std::uint64_t(0);
 
-    /** Candidates into the first shard already consumed elsewhere. */
+    /** Candidates into the first shard already consumed by an earlier
+     *  piece of the same check. */
     std::uint64_t inShardOffset = 0;
-
-    /** engine::shardJobFingerprint() of this job, forwarded verbatim
-     *  to peers with dispatched shards (unused when not dispatching). */
-    std::uint64_t jobFingerprint = 0;
-
-    /** Remaining wall-budget hint (ms) forwarded to peers; 0 = none. */
-    std::uint64_t peerDeadlineMs = 0;
 };
 
 /** What a range check produced, plus the cursor to resume from. */
@@ -189,18 +182,12 @@ struct ShardRangeOutcome {
  *                 range; the merged result is identical to serial.
  * @param governor as checkTest(); a trip yields a partial outcome with
  *                 a cursor instead of a completed one.
- * @param remote   when non-null and the range is large enough,
- *                 contiguous task slices are offered to the dispatcher
- *                 (peer rexd instances); unfilled or partially filled
- *                 tasks are finished locally, so dispatch failures
- *                 degrade to local compute and never lose a shard.
  */
 ShardRangeOutcome checkShardRange(const LitmusTest &test,
                                   const ModelParams &params,
                                   const ShardRangeSpec &spec,
                                   engine::ThreadPool *pool = nullptr,
-                                  engine::Governor *governor = nullptr,
-                                  engine::RangeDispatcher *remote = nullptr);
+                                  engine::Governor *governor = nullptr);
 
 /** The retained pre-staging reference path: fresh candidate copy per
  *  witness assignment, full (unstaged) model check per candidate.

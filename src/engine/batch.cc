@@ -268,8 +268,7 @@ JobRecord
 Engine::verdictRecordResumable(const LitmusTest &test,
                                const ModelParams &params,
                                const Budget &budget,
-                               const ContinuationState *resume,
-                               RangeDispatcher *remote)
+                               const ContinuationState *resume)
 {
     auto start = std::chrono::steady_clock::now();
     JobRecord record;
@@ -315,29 +314,17 @@ Engine::verdictRecordResumable(const LitmusTest &test,
         spec.shardBegin = resume->nextShard;
         spec.inShardOffset = resume->nextOffset;
     }
-    spec.jobFingerprint =
-        shardJobFingerprint(fingerprintSource, record.variant,
-                            _config.modelRevision, spec.planTarget);
-    spec.peerDeadlineMs = budget.deadlineMicros / 1000;
 
     std::optional<Governor> governor;
     if (!budget.unlimited())
         governor.emplace(budget, nullptr, &_liveCandidates);
-
-    // Candidate-ceiling (and heap) budgets stay local: the ceiling is
-    // an exact count shared through one atomic, which cannot span
-    // nodes; deadline-only and unlimited budgets may fan out.
-    RangeDispatcher *dispatcher =
-        budget.maxCandidates == 0 && budget.maxHeapBytes == 0
-            ? remote
-            : nullptr;
 
     ThreadPool *pool =
         ThreadPool::onWorkerThread() ? nullptr : _pool.get();
     crashContextSetJob(test.name.c_str(), params.name().c_str());
     ShardRangeOutcome out =
         checkShardRange(test, params, spec, pool,
-                        governor ? &*governor : nullptr, dispatcher);
+                        governor ? &*governor : nullptr);
     if (governor) {
         const std::uint64_t visited = governor->candidatesVisited();
         _liveCandidates.fetch_sub(visited, std::memory_order_relaxed);

@@ -44,7 +44,6 @@
 #include "engine/continuation.hh"
 #include "engine/governor.hh"
 #include "engine/pool.hh"
-#include "engine/remote.hh"
 #include "engine/results.hh"
 #include "engine/supervisor.hh"
 #include "litmus/litmus.hh"
@@ -180,8 +179,8 @@ class Engine
                         const Budget &budget);
 
     /**
-     * Resumable (and optionally distributable) verdict check over the
-     * deterministic kCheckShardTarget shard plan.
+     * Resumable verdict check over the deterministic kCheckShardTarget
+     * shard plan.
      *
      * Like the budgeted verdictRecord(), except that a budget trip
      * yields an ExhaustedBudget record carrying a `rex-cont-v1` token
@@ -199,29 +198,20 @@ class Engine
      * (service.cc refuses mismatches with 409 before calling); the
      * engine re-checks the plan shape and dies loudly on drift.
      *
-     * @p remote when non-null, large ranges are offered to the
-     * dispatcher (peer rexd instances); unfilled tasks run locally.
-     * Distribution is only attempted for tests carrying source text
-     * and budgets without a candidate ceiling (an exact shared ceiling
-     * cannot span nodes).
-     *
-     * Runs in-thread (never supervised): the shard range path is the
-     * coordinator's own merge loop. Completed verdicts hit and fill
-     * the same cache as every other path.
+     * Runs in-thread (never supervised). Completed verdicts hit and
+     * fill the same cache as every other path.
      */
     JobRecord verdictRecordResumable(const LitmusTest &test,
                                      const ModelParams &params,
                                      const Budget &budget,
                                      const ContinuationState *resume =
-                                         nullptr,
-                                     RangeDispatcher *remote = nullptr);
+                                         nullptr);
 
     /**
-     * Run one shard range of @p test (the `/shard` serving primitive):
-     * checkShardRange() on the engine's pool with a governor built
-     * from @p budget (null/unlimited = no governor), with the engine's
-     * live-candidate accounting. Never dispatches further (peers do
-     * not re-fan-out) and never touches the verdict cache or sink.
+     * Run one shard range of @p test: checkShardRange() on the
+     * engine's pool with a governor built from @p budget
+     * (null/unlimited = no governor), with the engine's live-candidate
+     * accounting. Never touches the verdict cache or sink.
      */
     ShardRangeOutcome runShardRange(const LitmusTest &test,
                                     const ModelParams &params,

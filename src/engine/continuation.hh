@@ -65,9 +65,9 @@ struct ContinuationState {
 
 /**
  * Fingerprint of a shard job's identity — what must match for two
- * nodes (or two points in time) to derive the same plan and mean the
- * same thing by "shard i": test source, variant, model revision, plan
- * target. This is the `/shard` wire fingerprint.
+ * processes (or two points in time) to derive the same plan and mean
+ * the same thing by "shard i": test source, variant, model revision,
+ * plan target. The identity half of every continuation fingerprint.
  */
 std::uint64_t shardJobFingerprint(const std::string &source,
                                   const std::string &variant,

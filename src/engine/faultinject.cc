@@ -26,8 +26,6 @@ const char *const kPointNames[kPointCount] = {
     "cache-read", "cache-write", "sink-write",
     "pool-spawn", "sock-accept", "sock-send",
     "worker-crash", "worker-hang",
-    "peer-connect", "peer-send", "peer-recv",
-    "peer-lie", "peer-corrupt-frame", "peer-stale-revision",
 };
 
 int

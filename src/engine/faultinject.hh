@@ -16,9 +16,8 @@
  * e.g. REX_FAULT_SPEC="cache-write:1.0:7,sock-send:0.25:42"
  *
  * Points: cache-read, cache-write, sink-write, pool-spawn,
- * sock-accept, sock-send, worker-crash, worker-hang, peer-connect,
- * peer-send, peer-recv, peer-lie, peer-corrupt-frame,
- * peer-stale-revision. Probability is in [0, 1]; seed is a uint64.
+ * sock-accept, sock-send, worker-crash, worker-hang. Probability is in
+ * [0, 1]; seed is a uint64.
  *
  * Determinism: each point keeps its own call counter k, and the k-th
  * call fails iff splitmix64(seed + k) maps below probability — the
@@ -43,41 +42,6 @@
  *                 CrashedWorker verdict, daemon unharmed
  *   worker-hang   supervised worker spins without polling -> SIGKILLed
  *                 at the hard deadline (deadline + kill grace)
- *   peer-connect  shard dispatch can't reach the peer -> the attempt
- *                 fails before any bytes are sent; retried with
- *                 capped backoff, then the peer is marked down and the
- *                 task re-dispatched to a survivor or run locally —
- *                 never a lost shard
- *   peer-send     shard request dies mid-send -> same retry /
- *                 re-dispatch / local-fallback ladder as peer-connect
- *   peer-recv     peer answered but the response is dropped before
- *                 parsing -> treated exactly like a transport failure;
- *                 if the answer lands later anyway, the per-task
- *                 first-fill-wins dedup drops it (counted), so a
- *                 slow-then-returning peer can never double-merge
- *   peer-lie      Byzantine wrong answer: the /shard handler perturbs
- *                 its computed counters *before* sealing the integrity
- *                 envelope, so the lie is self-consistently signed and
- *                 the envelope passes -> only the coordinator's audit
- *                 path (duplicate dispatch or local recompute,
- *                 server/peer.hh) catches it; the lying peer is
- *                 charged a confirmed lie and quarantined
- *   peer-corrupt-frame
- *                 a byte of the sealed /shard response body is flipped
- *                 after sealing -> the coordinator's envelope digest
- *                 check rejects it (counted, never merged) and the
- *                 task rides the retry/re-dispatch ladder
- *   peer-stale-revision
- *                 the /shard handler seals its envelope under a bogus
- *                 model revision (digest still valid over it, the way
- *                 a genuinely stale binary would sign) -> rejected by
- *                 the coordinator's revision check, same ladder
- *
- * The peer-lie / peer-corrupt-frame / peer-stale-revision points are
- * consulted on the RESPONDING peer (src/server/service.cc and
- * hammerdist.cc) — that is what rexd --byzantine-spec arms — and only
- * for requests that arrived over the wire: a coordinator recomputing
- * locally for audit ground truth never lies to itself.
  *
  * The worker-* points are consulted in the supervising PARENT at
  * dispatch time (src/engine/supervisor.cc), and the decision travels to
@@ -108,12 +72,6 @@ enum class FaultPoint : std::size_t {
     SockSend,
     WorkerCrash,
     WorkerHang,
-    PeerConnect,
-    PeerSend,
-    PeerRecv,
-    PeerLie,
-    PeerCorruptFrame,
-    PeerStaleRevision,
     kCount,
 };
 

@@ -94,11 +94,15 @@ struct RetryPolicy {
 int retryDelayMs(const RetryPolicy &policy, int attempt,
                  int retryAfterSeconds);
 
+/** Default per-request socket timeout of a Client, in seconds. */
+inline constexpr int kClientTimeoutSeconds = 30;
+
 /** A blocking HTTP client (optionally keep-alive, see file header). */
 class Client
 {
   public:
-    Client(std::string host, std::uint16_t port, int timeoutSeconds = 30)
+    Client(std::string host, std::uint16_t port,
+           int timeoutSeconds = kClientTimeoutSeconds)
         : _host(std::move(host)), _port(port),
           _timeoutSeconds(timeoutSeconds)
     {}

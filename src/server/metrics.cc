@@ -84,18 +84,6 @@ CountHistogram::render(const std::string &name) const
 }
 
 void
-Metrics::recordPeerRtt(std::size_t index, const std::string &endpoint,
-                       double millis)
-{
-    std::lock_guard<std::mutex> lock(_peerRttMutex);
-    if (_peerRtt.size() <= index)
-        _peerRtt.resize(index + 1);
-    _peerRtt[index].endpoint = endpoint;
-    _peerRtt[index].millis = millis;
-    _peerRtt[index].valid = true;
-}
-
-void
 Metrics::countResponse(int status)
 {
     switch (status) {
@@ -220,56 +208,6 @@ Metrics::render(engine::Engine &engine) const
     counter("rexd_idle_timeouts_total",
             "Keep-alive connections closed by the idle deadline.",
             idleTimeouts.load());
-    counter("rexd_peer_dispatch_total",
-            "Shard tasks dispatched to peer rexd instances.",
-            peerDispatchTotal.load());
-    counter("rexd_peer_failures_total",
-            "Peer dispatch attempts exhausted (peer marked down).",
-            peerFailuresTotal.load());
-    counter("rexd_peer_retries_total",
-            "Per-attempt retries of peer shard requests.",
-            peerRetriesTotal.load());
-    counter("rexd_peer_redispatch_total",
-            "Shard tasks re-queued to surviving peers after a peer "
-            "failure.",
-            peerRedispatchTotal.load());
-    counter("rexd_peer_hedges_total",
-            "Hedged duplicate dispatches of straggling shard tasks.",
-            peerHedgesTotal.load());
-    counter("rexd_peer_dedup_dropped_total",
-            "Duplicate peer answers dropped by first-fill-wins "
-            "deduplication.",
-            peerDedupDroppedTotal.load());
-    counter("rexd_peer_local_fallback_total",
-            "Dispatched shard tasks finished locally after peer "
-            "failure.",
-            peerLocalFallbackTotal.load());
-    counter("rexd_peer_unavailable_total",
-            "Eligible checks degraded to local-only: no healthy peer.",
-            peerUnavailableTotal.load());
-    counter("rexd_shard_requests_total",
-            "POST /shard requests served.",
-            shardRequests.load());
-    counter("rexd_shard_refused_total",
-            "POST /shard requests refused with 409 (fingerprint or "
-            "plan mismatch).",
-            shardRefused.load());
-    counter("rexd_shard_digest_mismatches_total",
-            "Peer /shard answers whose rex-shard-v1 envelope failed "
-            "verification — counted, never merged.",
-            shardDigestMismatches.load());
-    out += "# HELP rexd_audits_total Sampled shard-result audits, by "
-           "outcome.\n"
-           "# TYPE rexd_audits_total counter\n";
-    labelled("rexd_audits_total", "result=\"match\"",
-             auditsMatch.load());
-    labelled("rexd_audits_total", "result=\"divergence\"",
-             auditsDivergence.load());
-    labelled("rexd_audits_total", "result=\"failed\"",
-             auditsFailed.load());
-    counter("rexd_peer_lies_total",
-            "Audit-confirmed wrong answers charged to peers.",
-            peerLiesTotal.load());
     counter("rexd_continuations_issued_total",
             "rex-cont-v1 continuation tokens issued on budget trips.",
             continuationsIssued.load());
@@ -363,15 +301,6 @@ Metrics::render(engine::Engine &engine) const
           supervisor
               ? static_cast<std::int64_t>(supervisor->liveWorkers())
               : 0);
-    gauge("rexd_peers_configured",
-          "Peer rexd endpoints configured for shard dispatch.",
-          peersConfigured.load());
-    gauge("rexd_peers_healthy",
-          "Peer endpoints currently believed healthy.",
-          peersHealthy.load());
-    gauge("rexd_peers_quarantined",
-          "Peer endpoints under lie-grade quarantine.",
-          peersQuarantined.load());
     gauge("rexd_quarantined_keys",
           "(test, variant) keys currently at the quarantine "
           "threshold.",
@@ -383,19 +312,6 @@ Metrics::render(engine::Engine &engine) const
           supervisor
               ? static_cast<std::int64_t>(supervisor->ledgerEntries())
               : 0);
-
-    out += "# HELP rexd_peer_rtt_ms EWMA round-trip of successful "
-           "/shard dispatches, per peer.\n"
-           "# TYPE rexd_peer_rtt_ms gauge\n";
-    {
-        std::lock_guard<std::mutex> lock(_peerRttMutex);
-        for (const PeerRtt &rtt : _peerRtt) {
-            if (!rtt.valid)
-                continue;
-            out += format("rexd_peer_rtt_ms{peer=\"%s\"} %g\n",
-                          rtt.endpoint.c_str(), rtt.millis);
-        }
-    }
 
     out += "# HELP rexd_keepalive_requests_per_connection Requests "
            "served per keep-alive connection, recorded at close.\n"

@@ -22,9 +22,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace rex::engine { class Engine; }
 
@@ -135,68 +133,6 @@ struct Metrics {
      *  from readTimeouts: an idle peer owes us nothing, so no 408). */
     std::atomic<std::uint64_t> idleTimeouts{0};
 
-    /**
-     * Peer shard-dispatch series (multi-node fan-out, server/peer.hh).
-     * The failure ladder is visible end to end: a failed attempt bumps
-     * retries, an exhausted peer bumps failures and puts its task back
-     * (redispatch), and whatever no surviving peer filled is finished
-     * locally (local fallback) — so `redispatch + local_fallback > 0`
-     * with `verdicts unchanged` is the signature of a tolerated fault.
-     */
-    std::atomic<std::uint64_t> peerDispatchTotal{0};
-    std::atomic<std::uint64_t> peerFailuresTotal{0};
-    std::atomic<std::uint64_t> peerRetriesTotal{0};
-    std::atomic<std::uint64_t> peerRedispatchTotal{0};
-    std::atomic<std::uint64_t> peerHedgesTotal{0};
-    std::atomic<std::uint64_t> peerDedupDroppedTotal{0};
-    std::atomic<std::uint64_t> peerLocalFallbackTotal{0};
-
-    /** Eligible checks that found no healthy peer and degraded to
-     *  local-only enumeration. */
-    std::atomic<std::uint64_t> peerUnavailableTotal{0};
-
-    /** Peer endpoints configured / currently believed healthy
-     *  (gauges, maintained by the PeerPool). */
-    std::atomic<std::int64_t> peersConfigured{0};
-    std::atomic<std::int64_t> peersHealthy{0};
-
-    /** POST /shard requests served, and those refused with 409 (job
-     *  fingerprint or shard-plan mismatch). */
-    std::atomic<std::uint64_t> shardRequests{0};
-    std::atomic<std::uint64_t> shardRefused{0};
-
-    /**
-     * Integrity series (docs/DISTRIBUTED.md, "Integrity & trust
-     * model"). A digest mismatch is a peer answer whose rex-shard-v1
-     * envelope failed verification — counted, never merged. Audits are
-     * sampled recomputations of filled tasks: "match" confirms the
-     * fill, "divergence" caught differing answers (resolved against
-     * local ground truth), "failed" could not complete (no auditor
-     * reachable). A lie is an audit-divergent answer confirmed wrong
-     * against ground truth; the lying peer is quarantined
-     * (rexd_peers_quarantined).
-     */
-    std::atomic<std::uint64_t> shardDigestMismatches{0};
-    std::atomic<std::uint64_t> auditsMatch{0};
-    std::atomic<std::uint64_t> auditsDivergence{0};
-    std::atomic<std::uint64_t> auditsFailed{0};
-    std::atomic<std::uint64_t> peerLiesTotal{0};
-
-    /** Peers currently under lie-grade quarantine (gauge, maintained
-     *  by the PeerPool). */
-    std::atomic<std::int64_t> peersQuarantined{0};
-
-    /** Per-peer RTT EWMA snapshot behind rexd_peer_rtt_ms, keyed by
-     *  peer index. Mutex-guarded: updated on successful dispatches,
-     *  read whole by render(). */
-    struct PeerRtt {
-        std::string endpoint;
-        double millis = 0.0;
-        bool valid = false;
-    };
-    void recordPeerRtt(std::size_t index, const std::string &endpoint,
-                       double millis);
-
     /** Continuation lifecycle: rex-cont-v1 tokens issued on budget
      *  trips, resume tokens accepted, and tokens refused (malformed,
      *  stale, or tampered — the 400/409 paths). */
@@ -238,10 +174,6 @@ struct Metrics {
      * counts and the engine worker count are read from @p engine.
      */
     std::string render(engine::Engine &engine) const;
-
-  private:
-    mutable std::mutex _peerRttMutex;
-    std::vector<PeerRtt> _peerRtt;
 };
 
 } // namespace rex::server

@@ -16,11 +16,7 @@
  *        [--max-deadline-ms N] [--max-candidates N]
  *        [--workers N] [--crash-quarantine N] [--kill-grace-ms N]
  *        [--max-conns N] [--idle-timeout SECONDS] [--max-age SECONDS]
- *        [--peers H:P,H:P,...] [--peer-timeout SECONDS]
- *        [--peer-shards N] [--peer-min-shards N] [--peer-hedge-ms N]
- *        [--audit-rate R] [--audit-seed N] [--peer-lie-quarantine S]
- *        [--peer-reinstate-probes N] [--crash-ledger-max N]
- *        [--byzantine-spec SPEC]
+ *        [--crash-ledger-max N]
  *
  * Defaults: 127.0.0.1:8643, 4 handler threads, queue bound 64, engine
  * jobs from REX_JOBS (else hardware concurrency), cache settings from
@@ -46,32 +42,7 @@
  * keep-alive connections idle that long; --max-age sets the
  * Cache-Control max-age advertised on deterministic /check 200s.
  *
- * --peers turns this node into a shard coordinator: large
- * budget-eligible checks fan their shard plan over the listed peer
- * rexd instances via POST /shard (docs/DISTRIBUTED.md), tolerating
- * peer failure by retry, re-dispatch, and local fallback. The knobs:
- * --peer-timeout per-request socket timeout, --peer-shards shards per
- * dispatched task (0 = auto from peer count), --peer-min-shards the
- * minimum plan size worth distributing, --peer-hedge-ms the
- * straggler-hedging threshold (-1 = auto from observed peer RTT,
- * 0 = off).
- *
- * Integrity (docs/DISTRIBUTED.md, "Integrity & trust model"): every
- * /shard answer is verified against its rex-shard-v1 envelope before
- * merging, and --audit-rate R additionally recomputes that fraction of
- * filled tasks elsewhere and byte-compares (1.0 = audit everything,
- * the only rate that guarantees byte-identical output under an
- * actively lying peer). A confirmed lie quarantines the peer for
- * --peer-lie-quarantine seconds (doubling per episode); reinstatement
- * requires --peer-reinstate-probes consecutive clean audits.
- * --audit-seed pins the deterministic audit sampling sequence.
  * --crash-ledger-max caps the supervisor's crash ledger (LRU).
- *
- * --byzantine-spec SPEC arms the wrong-answer fault points (peer-lie /
- * peer-corrupt-frame / peer-stale-revision, engine/faultinject.hh
- * syntax) on THIS node's /shard handlers — a test/chaos knob that
- * makes this rexd lie to its coordinator. Equivalent to REX_FAULT_SPEC
- * but named so smoke scripts read honestly.
  */
 
 #include <cerrno>
@@ -83,9 +54,7 @@
 #include <unistd.h>
 
 #include "base/logging.hh"
-#include "base/strings.hh"
 #include "engine/batch.hh"
-#include "engine/faultinject.hh"
 #include "server/server.hh"
 
 namespace {
@@ -111,13 +80,7 @@ usage(const char *argv0)
         "            [--max-candidates N] [--workers N]\n"
         "            [--crash-quarantine N] [--kill-grace-ms N]\n"
         "            [--max-conns N] [--idle-timeout SECONDS]\n"
-        "            [--max-age SECONDS] [--peers H:P,...]\n"
-        "            [--peer-timeout SECONDS] [--peer-shards N]\n"
-        "            [--peer-min-shards N] [--peer-hedge-ms N]\n"
-        "            [--audit-rate R] [--audit-seed N]\n"
-        "            [--peer-lie-quarantine S]\n"
-        "            [--peer-reinstate-probes N]\n"
-        "            [--crash-ledger-max N] [--byzantine-spec SPEC]\n",
+        "            [--max-age SECONDS] [--crash-ledger-max N]\n",
         argv0);
     std::exit(2);
 }
@@ -130,18 +93,6 @@ numberArg(int argc, char **argv, int &arg, const char *argv0)
     char *end = nullptr;
     unsigned long value = std::strtoul(argv[++arg], &end, 10);
     if (!end || *end != '\0')
-        usage(argv0);
-    return value;
-}
-
-double
-rateArg(int argc, char **argv, int &arg, const char *argv0)
-{
-    if (arg + 1 >= argc)
-        usage(argv0);
-    char *end = nullptr;
-    double value = std::strtod(argv[++arg], &end);
-    if (!end || *end != '\0' || value < 0.0 || value > 1.0)
         usage(argv0);
     return value;
 }
@@ -213,45 +164,9 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[arg], "--max-age") == 0) {
             config.cacheMaxAgeSeconds = static_cast<int>(
                 numberArg(argc, argv, arg, argv[0]));
-        } else if (std::strcmp(argv[arg], "--peers") == 0) {
-            if (arg + 1 >= argc)
-                usage(argv[0]);
-            for (const std::string &endpoint :
-                     split(argv[++arg], ',')) {
-                if (!endpoint.empty())
-                    config.peers.endpoints.push_back(endpoint);
-            }
-        } else if (std::strcmp(argv[arg], "--peer-timeout") == 0) {
-            config.peers.timeoutSeconds = static_cast<int>(
-                numberArg(argc, argv, arg, argv[0]));
-        } else if (std::strcmp(argv[arg], "--peer-shards") == 0) {
-            config.peers.shardsPerTask =
-                numberArg(argc, argv, arg, argv[0]);
-        } else if (std::strcmp(argv[arg], "--peer-min-shards") == 0) {
-            config.peers.minShards =
-                numberArg(argc, argv, arg, argv[0]);
-        } else if (std::strcmp(argv[arg], "--peer-hedge-ms") == 0) {
-            config.peers.hedgeAfterMs = static_cast<int>(
-                numberArg(argc, argv, arg, argv[0]));
-        } else if (std::strcmp(argv[arg], "--audit-rate") == 0) {
-            config.peers.auditRate = rateArg(argc, argv, arg, argv[0]);
-        } else if (std::strcmp(argv[arg], "--audit-seed") == 0) {
-            config.peers.auditSeed =
-                numberArg(argc, argv, arg, argv[0]);
-        } else if (std::strcmp(argv[arg], "--peer-lie-quarantine") == 0) {
-            config.peers.lieQuarantineSeconds = static_cast<int>(
-                numberArg(argc, argv, arg, argv[0]));
-        } else if (std::strcmp(argv[arg],
-                               "--peer-reinstate-probes") == 0) {
-            config.peers.reinstateProbes = static_cast<int>(
-                numberArg(argc, argv, arg, argv[0]));
         } else if (std::strcmp(argv[arg], "--crash-ledger-max") == 0) {
             engine_config.crashLedgerMax =
                 numberArg(argc, argv, arg, argv[0]);
-        } else if (std::strcmp(argv[arg], "--byzantine-spec") == 0) {
-            if (arg + 1 >= argc)
-                usage(argv[0]);
-            engine::faultInjector().configure(argv[++arg]);
         } else {
             usage(argv[0]);
         }

@@ -241,15 +241,6 @@ RexServer::RexServer(engine::Engine &engine, ServerConfig config)
         _config.maxConnections = 1;
     if (_config.idleTimeoutSeconds <= 0)
         _config.idleTimeoutSeconds = 60;
-    if (!_config.peers.endpoints.empty()) {
-        _peers = std::make_unique<PeerPool>(_config.peers, &_metrics);
-        _service.setDispatcher(_peers.get());
-        // Audit ground truth: recompute sampled shards on this node's
-        // own engine (trusted — Byzantine fault points stay dormant).
-        _peers->setLocalCompute([this](const std::string &body) {
-            return _service.shardLocalCompute(body);
-        });
-    }
 }
 
 RexServer::~RexServer()
@@ -560,14 +551,12 @@ RexServer::dispatch(Conn &conn, HttpRequest request)
         return;
     }
 
-    // Engine-bound work (POST /check, GET /check/<name>, POST /shard)
-    // goes to the handler threads through the bounded job queue.
+    // Engine-bound work (POST /check, GET /check/<name>) goes to the
+    // handler threads through the bounded job queue.
     const bool checkWork =
-        (CheckService::isCheckRoute(request) &&
-         (request.path == "/check" ? request.method == "POST"
-                                   : request.method == "GET")) ||
-        (CheckService::isShardRoute(request) &&
-         request.method == "POST");
+        CheckService::isCheckRoute(request) &&
+        (request.path == "/check" ? request.method == "POST"
+                                  : request.method == "GET");
     if (checkWork) {
         bool enqueued = false;
         {

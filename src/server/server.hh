@@ -50,7 +50,6 @@
 
 #include "server/http.hh"
 #include "server/metrics.hh"
-#include "server/peer.hh"
 #include "server/service.hh"
 
 namespace rex::engine { class Engine; }
@@ -99,14 +98,6 @@ struct ServerConfig {
     /** `Cache-Control: public, max-age=...` advertised on
      *  deterministic /check 200s. */
     int cacheMaxAgeSeconds = 86400;
-
-    /**
-     * Peer shard-dispatch (rexd --peers): when endpoints are set this
-     * node becomes a shard coordinator — large budget-eligible checks
-     * fan their shard plan over the peers via POST /shard, with the
-     * failure ladder of server/peer.hh. Empty = local-only.
-     */
-    PeerConfig peers;
 };
 
 /** The rexd daemon core (in-process embeddable, see tests). */
@@ -146,9 +137,6 @@ class RexServer
     Metrics &metrics() { return _metrics; }
     CheckService &service() { return _service; }
     const ServerConfig &config() const { return _config; }
-
-    /** The peer shard dispatcher; null when --peers is empty. */
-    PeerPool *peers() { return _peers.get(); }
 
   private:
     /** Why a connection deadline is armed. */
@@ -232,7 +220,6 @@ class RexServer
     ServerConfig _config;
     Metrics _metrics;
     CheckService _service;
-    std::unique_ptr<PeerPool> _peers;
 
     int _listenFd = -1;
     int _wakeReadFd = -1;   //!< self-pipe: completions/drain wake the loop

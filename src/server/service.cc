@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <thread>
 
-#include "axiomatic/checker.hh"
 #include "axiomatic/params.hh"
 #include "base/logging.hh"
 #include "base/strings.hh"
@@ -12,11 +11,8 @@
 #include "engine/batch.hh"
 #include "engine/cache.hh"
 #include "engine/continuation.hh"
-#include "engine/faultinject.hh"
 #include "litmus/parser.hh"
 #include "litmus/registry.hh"
-#include "server/envelope.hh"
-#include "server/hammerdist.hh"
 #include "server/json.hh"
 
 namespace rex::server {
@@ -261,21 +257,16 @@ CheckService::runCheckStreaming(
             _metrics.stageCompile.observe(microsSince(compile_start));
         }
         auto check_start = std::chrono::steady_clock::now();
-        // Resumable/resumed checks and peer dispatch share one path:
-        // the shard-range merge loop behind continuation tokens.
-        // Everything else keeps the legacy verdict path byte-for-byte.
+        // Resumable/resumed checks take the shard-range merge loop
+        // behind continuation tokens; everything else keeps the legacy
+        // verdict path byte-for-byte.
         engine::JobRecord record;
-        if (request.resumable || _dispatcher) {
+        if (request.resumable) {
             record = _engine.verdictRecordResumable(
                 test, ModelParams::byName(variant), budget,
-                haveResume ? &resumeState : nullptr, _dispatcher);
-            if (!request.resumable) {
-                // Dispatcher-only (the request did not opt in):
-                // distribute, but keep the legacy record shape.
-                record.continuation.clear();
-            } else if (!record.continuation.empty()) {
+                haveResume ? &resumeState : nullptr);
+            if (!record.continuation.empty())
                 ++_metrics.continuationsIssued;
-            }
         } else {
             record =
                 budget.unlimited()
@@ -330,219 +321,6 @@ CheckService::isCheckRoute(const HttpRequest &request)
 {
     return request.path == "/check" ||
            startsWith(request.path, "/check/");
-}
-
-bool
-CheckService::isShardRoute(const HttpRequest &request)
-{
-    return request.path == "/shard";
-}
-
-namespace {
-
-/** Unsigned integer member of a /shard body, with fallback. */
-std::uint64_t
-shardU64(const JsonValue &root, const char *key, std::uint64_t fallback)
-{
-    const JsonValue *value = root.find(key);
-    if (!value || !value->isInt() || value->integer < 0)
-        return fallback;
-    return static_cast<std::uint64_t>(value->integer);
-}
-
-/** Parse a 16-hex-digit "fingerprint" member; 0 on malformed. */
-std::uint64_t
-shardFingerprint(const JsonValue &root)
-{
-    const JsonValue *value = root.find("fingerprint");
-    if (!value || !value->isString() || value->string.size() != 16)
-        return 0;
-    std::uint64_t print = 0;
-    for (char c : value->string) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            return 0;
-        print = (print << 4) | static_cast<std::uint64_t>(digit);
-    }
-    return print;
-}
-
-} // namespace
-
-HttpResponse
-CheckService::handleShard(const HttpRequest &request, bool trusted)
-{
-    if (!trusted)
-        ++_metrics.shardRequests;
-    JsonValue root;
-    try {
-        root = parseJson(request.body);
-    } catch (const FatalError &err) {
-        return HttpResponse::error(400, err.what());
-    }
-    if (!root.isObject()) {
-        return HttpResponse::error(400,
-                                   "request body must be a JSON object");
-    }
-
-    const JsonValue *kind = root.find("kind");
-    const std::string kindName =
-        kind && kind->isString() ? kind->string : "check";
-    if (kindName == "hammer") {
-        try {
-            return handleHammerShard(_engine, root, _metrics, trusted);
-        } catch (const FatalError &err) {
-            return HttpResponse::error(400, err.what());
-        } catch (const std::exception &err) {
-            return HttpResponse::error(500, err.what());
-        }
-    }
-    if (kindName != "check") {
-        return HttpResponse::error(
-            400, "unknown shard kind \"" + kindName + "\"");
-    }
-
-    const JsonValue *test = root.find("test");
-    if (!test || !test->isString() || test->string.empty()) {
-        return HttpResponse::error(
-            400, "shard request needs a non-empty \"test\"");
-    }
-    const JsonValue *variant = root.find("variant");
-    if (!variant || !variant->isString()) {
-        return HttpResponse::error(
-            400, "shard request needs a \"variant\" name");
-    }
-
-    const std::uint64_t planTarget =
-        shardU64(root, "plan_target", kCheckShardTarget);
-    const std::uint64_t planSize = shardU64(root, "plan_size", 0);
-    const std::uint64_t shardBegin = shardU64(root, "shard_begin", 0);
-    const std::uint64_t shardEnd =
-        shardU64(root, "shard_end", ~std::uint64_t(0));
-    const std::uint64_t offset = shardU64(root, "offset", 0);
-    const std::uint64_t deadlineMs = shardU64(root, "deadline_ms", 0);
-    if (shardEnd <= shardBegin)
-        return HttpResponse::error(400, "empty shard range");
-
-    // Verify the job identity against *this* node's model revision:
-    // "shard i" only means the same candidates on both ends when the
-    // source, variant, revision, and plan target all agree. A mismatch
-    // is refused — never silently computed against a different model.
-    const std::uint64_t wirePrint = shardFingerprint(root);
-    const std::uint64_t expected = engine::shardJobFingerprint(
-        test->string, variant->string, engine::kModelRevision,
-        planTarget);
-    if (wirePrint == 0 || wirePrint != expected) {
-        ++_metrics.shardRefused;
-        return HttpResponse::error(
-            409, "shard fingerprint mismatch: peer model revision or "
-                 "job identity differs from the coordinator's");
-    }
-
-    try {
-        (void)ModelParams::byName(variant->string);
-        LitmusTest parsed = parseLitmus(test->string);
-
-        ShardRangeSpec spec;
-        spec.planTarget = planTarget;
-        spec.shardBegin = shardBegin;
-        spec.shardEnd = shardEnd;
-        spec.inShardOffset = offset;
-        spec.jobFingerprint = wirePrint;
-
-        engine::Budget budget;
-        budget.deadlineMicros =
-            clampLimit(static_cast<std::int64_t>(deadlineMs),
-                       _maxDeadlineMs) *
-            1000;
-
-        ShardRangeOutcome outcome = _engine.runShardRange(
-            parsed, ModelParams::byName(variant->string), spec,
-            budget.unlimited() ? nullptr : &budget);
-
-        // The coordinator's plan size travels with every request; a
-        // disagreement after re-planning means the two nodes would
-        // mean different candidates by the same shard index.
-        if (outcome.planned && planSize != 0 &&
-                planSize != outcome.planSize) {
-            ++_metrics.shardRefused;
-            return HttpResponse::error(
-                409, format("shard plan mismatch: coordinator plans %"
-                            PRIu64 " shards, this node %" PRIu64,
-                            planSize, outcome.planSize));
-        }
-
-        const CheckResult &result = outcome.result;
-
-        // peer-lie (Byzantine injection, --byzantine-spec): perturb the
-        // counters *before* sealing, so the envelope digests the wrong
-        // answer self-consistently — only an audit can catch it.
-        std::size_t lieBias = 0;
-        if (!trusted && engine::faultInjector().shouldFail(
-                            engine::FaultPoint::PeerLie))
-            lieBias = 1;
-
-        std::string body = format(
-            "{\"planned\":%s,\"completed\":%s,\"witnessed\":%s"
-            ",\"next_shard\":%" PRIu64 ",\"next_offset\":%" PRIu64
-            ",\"candidates\":%zu,\"consistent\":%zu,\"witnesses\":%zu"
-            ",\"cu\":%zu,\"unknown\":%zu,\"plan_size\":%" PRIu64,
-            outcome.planned ? "true" : "false",
-            outcome.completed ? "true" : "false",
-            outcome.witnessed ? "true" : "false", outcome.nextShard,
-            outcome.nextOffset, result.candidates + lieBias,
-            result.consistent, result.witnesses + lieBias,
-            result.constrainedUnpredictable,
-            result.unknownSideEffects, outcome.planSize);
-        if (!result.forbiddingAxiom.empty()) {
-            body += format(
-                ",\"axiom\":\"%s\",\"cycle\":[",
-                engine::jsonEscape(result.forbiddingAxiom).c_str());
-            for (std::size_t i = 0; i < result.forbiddingCycle.size();
-                 ++i) {
-                if (i > 0)
-                    body += ",";
-                body += format("%u", result.forbiddingCycle[i]);
-            }
-            body += "]";
-        }
-        body += "}";
-
-        HttpResponse response;
-        response.body = sealShardResponse(
-            body, "shard-check:" + variant->string, trusted);
-        response.contentType = "application/json";
-        return response;
-    } catch (const FatalError &err) {
-        return HttpResponse::error(400, err.what());
-    } catch (const std::exception &err) {
-        return HttpResponse::error(500, err.what());
-    }
-}
-
-std::string
-CheckService::shardLocalCompute(const std::string &shardBody)
-{
-    HttpRequest request;
-    request.method = "POST";
-    request.path = "/shard";
-    request.body = shardBody;
-    HttpResponse response = handleShard(request, /*trusted=*/true);
-    if (response.status != 200)
-        return "";
-    std::string payload;
-    std::string error;
-    if (!openShardEnvelope(response.body, "", engine::kModelRevision,
-                           payload, error)) {
-        warn("local shard recompute sealed an unopenable envelope: " +
-             error);
-        return "";
-    }
-    return payload;
 }
 
 bool
@@ -710,18 +488,6 @@ CheckService::handleCheckRoute(
     const std::function<void(const std::string &)> &onChunk)
 {
     HttpResponse response;
-    if (isShardRoute(request)) {
-        if (request.method != "POST") {
-            ++_metrics.requestsOther;
-            response = HttpResponse::error(405, "POST /shard");
-            response.extraHeaders["Allow"] = "POST";
-        } else {
-            ++_metrics.requestsCheck;
-            response = handleShard(request);
-        }
-        _metrics.countResponse(response.status);
-        return response;
-    }
     const bool alias = request.path != "/check";
     const char *wanted = alias ? "GET" : "POST";
     if (request.method != wanted) {
@@ -740,7 +506,7 @@ CheckService::handleCheckRoute(
 HttpResponse
 CheckService::handle(const HttpRequest &request)
 {
-    if (isCheckRoute(request) || isShardRoute(request))
+    if (isCheckRoute(request))
         return handleCheckRoute(request);
 
     HttpResponse response;

@@ -16,11 +16,6 @@
  *                        {"resume": "<token>"} resumes one (exactly one
  *                        variant; 400 malformed / 409 stale or
  *                        tampered — docs/DISTRIBUTED.md).
- *   POST /shard          peer-to-peer shard-range primitive: run shards
- *                        [shard_begin, shard_end) of a check (or a seed
- *                        chunk of a hammer campaign) and answer partial
- *                        counts + cursor as one JSON line; 409 on job
- *                        fingerprint / plan-size mismatch.
  *   GET  /check/<name>   cache/CDN-friendly alias: run the builtin
  *                        registry test <name> (query: variants=a,b or
  *                        "paper", deadline_ms=, max_candidates=).
@@ -55,7 +50,6 @@
 
 namespace rex::engine {
 class Engine;
-class RangeDispatcher;
 } // namespace rex::engine
 
 namespace rex::server {
@@ -207,49 +201,6 @@ class CheckService
      *  method — 405s are the check route's too). */
     static bool isCheckRoute(const HttpRequest &request);
 
-    /** True when @p request targets the /shard peer primitive. */
-    static bool isShardRoute(const HttpRequest &request);
-
-    /**
-     * Serve one POST /shard request (docs/DISTRIBUTED.md): validate
-     * the job fingerprint against this node's model revision (409 on
-     * mismatch — never silently compute against a different model),
-     * run the requested shard range or hammer seed chunk on the shared
-     * engine, and answer partial counts + resume cursor as one JSON
-     * line sealed in a rex-shard-v1 integrity envelope
-     * (server/envelope.hh). Never re-dispatches: peers do not fan out
-     * further.
-     *
-     * @param trusted true for the coordinator's own audit/ground-truth
-     *        recomputations (PeerPool local compute): the Byzantine
-     *        fault points (peer-lie / peer-corrupt-frame /
-     *        peer-stale-revision) are consulted only on the untrusted
-     *        wire path, and trusted calls skip the shard request
-     *        counters — a node auditing itself is not peer traffic.
-     */
-    HttpResponse handleShard(const HttpRequest &request,
-                             bool trusted = false);
-
-    /**
-     * PeerPool::setLocalCompute() adapter: run @p shardBody against
-     * this node's own engine as audit ground truth and return the
-     * *payload* (envelope opened and verified); "" when the shard
-     * request itself fails. Never lies, never counts as peer traffic.
-     */
-    std::string shardLocalCompute(const std::string &shardBody);
-
-    /**
-     * Route budget-eligible checks through peer dispatch: when set,
-     * distributable checks (source-carrying, no candidate ceiling) go
-     * through engine::Engine::verdictRecordResumable with @p dispatcher
-     * offered the shard plan. Not owned.
-     */
-    void setDispatcher(engine::RangeDispatcher *dispatcher)
-    {
-        _dispatcher = dispatcher;
-    }
-    engine::RangeDispatcher *dispatcher() const { return _dispatcher; }
-
     Metrics &metrics() { return _metrics; }
     engine::Engine &engine() { return _engine; }
 
@@ -272,7 +223,6 @@ class CheckService
     std::uint64_t _maxDeadlineMs = 0;
     std::uint64_t _maxCandidates = 0;
     int _cacheMaxAgeSeconds = 86400;
-    engine::RangeDispatcher *_dispatcher = nullptr;
 };
 
 } // namespace rex::server

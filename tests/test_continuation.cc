@@ -360,6 +360,50 @@ TEST(Resume, ChainsConvergeIdenticallyAcrossJobs1AndJobs4)
     }
 }
 
+TEST(Resume, PooledPiecesUnderACeilingAlwaysAdvanceTheCursor)
+{
+    // Pooled shards race for one shared candidate ceiling; the piece
+    // must still move its cursor forward every hop, or a small ceiling
+    // turns a chain into an unbounded run of empty hops.
+    engine::Engine parallel(plainConfig(4));
+    const LitmusTest &test = TestRegistry::instance().get("IRIW+addrs");
+    const ModelParams params = ModelParams::byName("base");
+    const engine::JobRecord whole =
+        parallel.verdictRecordResumable(test, params, engine::Budget{});
+
+    for (std::uint64_t ceiling : {1u, 2u, 7u}) {
+        engine::Budget budget;
+        budget.maxCandidates = ceiling;
+        engine::JobRecord record =
+            parallel.verdictRecordResumable(test, params, budget);
+        std::uint64_t lastShard = 0;
+        std::uint64_t lastOffset = 0;
+        std::uint64_t planSize = 0;
+        std::uint64_t hops = 0;
+        while (record.verdict == "ExhaustedBudget") {
+            engine::ContinuationState state;
+            ASSERT_TRUE(
+                engine::parseContinuation(record.continuation, state));
+            planSize = state.planSize;
+            ASSERT_GT(planSize, 1u) << "needs a multi-shard plan";
+            ASSERT_TRUE(state.nextShard > lastShard ||
+                        (state.nextShard == lastShard &&
+                         state.nextOffset > lastOffset))
+                << "ceiling " << ceiling << ", hop " << hops
+                << ": cursor stayed at shard " << state.nextShard
+                << " offset " << state.nextOffset;
+            lastShard = state.nextShard;
+            lastOffset = state.nextOffset;
+            ++hops;
+            record = parallel.verdictRecordResumable(test, params,
+                                                     budget, &state);
+        }
+        EXPECT_GT(hops, 0u) << "ceiling " << ceiling << " never tripped";
+        EXPECT_EQ(stableJson(record), stableJson(whole))
+            << "ceiling " << ceiling;
+    }
+}
+
 // ---------------------------------------------------------------------
 // The /check resume protocol (service level, no sockets)
 // ---------------------------------------------------------------------

@@ -36,10 +36,7 @@
 #include "litmus/parser.hh"
 #include "litmus/registry.hh"
 #include "server/client.hh"
-#include "server/envelope.hh"
-#include "server/hammerdist.hh"
 #include "server/json.hh"
-#include "server/peer.hh"
 #include "server/server.hh"
 #include "server/service.hh"
 
@@ -336,6 +333,9 @@ TEST(CheckService, RoutesAndErrors)
     EXPECT_EQ(d.request("GET", "/healthz").status, 200);
     EXPECT_EQ(d.request("GET", "/metrics").status, 200);
     EXPECT_EQ(d.request("GET", "/nope").status, 404);
+    // No /shard route: an old coordinator gets a plain unknown route,
+    // never a half-served shard.
+    EXPECT_EQ(d.request("POST", "/shard", "{}").status, 404);
     EXPECT_EQ(d.request("GET", "/check").status, 405);
     EXPECT_EQ(d.request("POST", "/healthz").status, 405);
     EXPECT_EQ(d.request("PUT", "/check").status, 405);
@@ -1730,442 +1730,6 @@ TEST(SupervisedServer, RetryCrashedPolicyRidesTheRespawnToAVerdict)
     EXPECT_GE(engine::faultInjector().checked(
                   engine::FaultPoint::WorkerCrash),
               2u);
-}
-
-// ---------------------------------------------------------------------
-// POST /shard and peer fan-out
-// ---------------------------------------------------------------------
-
-/** POST @p body to /shard through @p service. */
-server::HttpResponse
-postShard(server::CheckService &service, const std::string &body)
-{
-    server::HttpRequest request;
-    request.method = "POST";
-    request.path = "/shard";
-    request.body = body;
-    return service.handle(request);
-}
-
-/** Open a sealed /shard 200 body and return its raw payload bytes;
- *  fails the test on a bad envelope. */
-std::string
-openedShardPayload(const server::HttpResponse &response,
-                   const std::string &expectProgram = "")
-{
-    std::string payload;
-    std::string error;
-    EXPECT_TRUE(server::openShardEnvelope(response.body, expectProgram,
-                                          engine::kModelRevision,
-                                          payload, error))
-        << error << "\nbody: " << response.body;
-    return payload;
-}
-
-/** A /shard check-kind request for shards [begin, end) of @p source. */
-std::string
-shardCheckRequest(const std::string &source, const std::string &variant,
-                  std::uint64_t begin, std::uint64_t end)
-{
-    return format(
-        "{\"kind\":\"check\",\"test\":\"%s\",\"variant\":\"%s\","
-        "\"shard_begin\":%llu,\"shard_end\":%llu,"
-        "\"fingerprint\":\"%016llx\"}",
-        engine::jsonEscape(source).c_str(), variant.c_str(),
-        static_cast<unsigned long long>(begin),
-        static_cast<unsigned long long>(end),
-        static_cast<unsigned long long>(engine::shardJobFingerprint(
-            source, variant, engine::kModelRevision,
-            kCheckShardTarget)));
-}
-
-TEST(ShardRoute, ServesRangesAndRefusesDrift)
-{
-    engine::Engine engine(plainConfig());
-    server::Metrics metrics;
-    server::CheckService service(engine, metrics);
-    const std::string source =
-        TestRegistry::instance().sourceText("IRIW+addrs");
-
-    // The whole range in one request...
-    server::HttpResponse whole = postShard(
-        service, shardCheckRequest(source, "base", 0, ~0ull));
-    ASSERT_EQ(whole.status, 200) << whole.body;
-    server::JsonValue wholeBody = server::parseJson(
-        openedShardPayload(whole, "shard-check:base"));
-    ASSERT_TRUE(wholeBody.find("planned")->boolean);
-    ASSERT_TRUE(wholeBody.find("completed")->boolean);
-    const std::int64_t planSize =
-        wholeBody.find("plan_size")->integer;
-    const std::int64_t candidates =
-        wholeBody.find("candidates")->integer;
-    ASSERT_GT(planSize, 1);
-
-    // ...must equal the sum of two disjoint pieces.
-    const std::uint64_t cut = static_cast<std::uint64_t>(planSize) / 2;
-    server::HttpResponse lo =
-        postShard(service, shardCheckRequest(source, "base", 0, cut));
-    server::HttpResponse hi = postShard(
-        service, shardCheckRequest(source, "base", cut, ~0ull));
-    ASSERT_EQ(lo.status, 200);
-    ASSERT_EQ(hi.status, 200);
-    EXPECT_EQ(server::parseJson(openedShardPayload(lo))
-                      .find("candidates")
-                      ->integer +
-                  server::parseJson(openedShardPayload(hi))
-                      .find("candidates")
-                      ->integer,
-              candidates);
-    EXPECT_EQ(metrics.shardRequests.load(), 3u);
-
-    // A fingerprint from some other job identity is refused with 409 —
-    // computing shards against the wrong plan would corrupt the merge.
-    std::string drifted = shardCheckRequest(source, "base", 0, ~0ull);
-    const std::size_t at = drifted.find("\"fingerprint\":\"") + 15;
-    drifted[at] = drifted[at] == '0' ? '1' : '0';
-    server::HttpResponse refused = postShard(service, drifted);
-    EXPECT_EQ(refused.status, 409);
-    EXPECT_EQ(metrics.shardRefused.load(), 1u);
-
-    // Malformed bodies and unknown kinds are 400s; GET is a 405.
-    EXPECT_EQ(postShard(service, "{not json").status, 400);
-    EXPECT_EQ(postShard(service, "{\"kind\":\"mystery\"}").status, 400);
-    server::HttpRequest get;
-    get.method = "GET";
-    get.path = "/shard";
-    EXPECT_EQ(service.handle(get).status, 405);
-}
-
-// ---------------------------------------------------------------------
-// The rex-shard-v1 integrity envelope
-// ---------------------------------------------------------------------
-
-TEST(ShardEnvelope, SealsAndOpensRoundTrip)
-{
-    const std::string payload =
-        "{\"tested\":4,\"sound\":4,\"candidates\":99}";
-    const std::string sealed = server::sealShardEnvelope(
-        payload, "shard-check:base", engine::kModelRevision);
-    ASSERT_FALSE(sealed.empty());
-    EXPECT_EQ(sealed.back(), '\n');
-
-    std::string opened;
-    std::string error;
-    ASSERT_TRUE(server::openShardEnvelope(sealed, "shard-check:base",
-                                          engine::kModelRevision,
-                                          opened, error))
-        << error;
-    EXPECT_EQ(opened, payload);
-
-    // A pre-envelope (PR 9) bare payload is refused as foreign.
-    EXPECT_FALSE(server::openShardEnvelope(payload + "\n", "",
-                                           engine::kModelRevision,
-                                           opened, error));
-    EXPECT_NE(error.find("envelope"), std::string::npos);
-}
-
-TEST(ShardEnvelope, RejectsTamperedPayloadBytes)
-{
-    const std::string payload = "{\"candidates\":123}";
-    std::string sealed = server::sealShardEnvelope(
-        payload, "shard-check:base", engine::kModelRevision);
-    const std::size_t at = sealed.find(":123}");
-    ASSERT_NE(at, std::string::npos);
-    sealed[at + 1] = '9';
-
-    std::string opened;
-    std::string error;
-    EXPECT_FALSE(server::openShardEnvelope(sealed, "shard-check:base",
-                                           engine::kModelRevision,
-                                           opened, error));
-    EXPECT_NE(error.find("digest mismatch"), std::string::npos);
-    EXPECT_TRUE(opened.empty());
-}
-
-TEST(ShardEnvelope, RejectsForeignRevisionEvenWhenSelfConsistent)
-{
-    // A stale binary signs its stale revision consistently — the digest
-    // verifies, the revision check still refuses it.
-    const std::string payload = "{\"candidates\":7}";
-    const std::string sealed = server::sealShardEnvelope(
-        payload, "shard-check:base",
-        std::string(engine::kModelRevision) + "-stale");
-
-    std::string opened;
-    std::string error;
-    EXPECT_FALSE(server::openShardEnvelope(sealed, "shard-check:base",
-                                           engine::kModelRevision,
-                                           opened, error));
-    EXPECT_NE(error.find("revision mismatch"), std::string::npos);
-}
-
-TEST(ShardEnvelope, RejectsAnswersForADifferentProgram)
-{
-    const std::string payload = "{\"candidates\":7}";
-    const std::string sealed = server::sealShardEnvelope(
-        payload, "shard-check:sc", engine::kModelRevision);
-
-    std::string opened;
-    std::string error;
-    EXPECT_FALSE(server::openShardEnvelope(sealed, "shard-check:base",
-                                           engine::kModelRevision,
-                                           opened, error));
-    EXPECT_NE(error.find("program mismatch"), std::string::npos);
-
-    // An empty expectProgram (the trusted local path) skips the check.
-    EXPECT_TRUE(server::openShardEnvelope(sealed, "",
-                                          engine::kModelRevision,
-                                          opened, error))
-        << error;
-    EXPECT_EQ(opened, payload);
-}
-
-/** A live peer rexd plus a coordinator rexd whose --peers points at
- *  it; both on ephemeral localhost ports, engines uncached. */
-class PeerCluster : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        _peerEngine = std::make_unique<engine::Engine>(plainConfig());
-        server::ServerConfig peerConfig;
-        peerConfig.threads = 2;
-        _peer = std::make_unique<server::RexServer>(*_peerEngine,
-                                                    peerConfig);
-        _peer->start();
-
-        _coordEngine = std::make_unique<engine::Engine>(plainConfig());
-        _coord = std::make_unique<server::RexServer>(*_coordEngine,
-                                                     coordConfig());
-        _coord->start();
-    }
-
-    /** The default coordinator config, pointing at the live peer. */
-    server::ServerConfig
-    coordConfig() const
-    {
-        server::ServerConfig config;
-        config.threads = 2;
-        config.peers.endpoints = {
-            format("127.0.0.1:%u", _peer->port())};
-        config.peers.minShards = 1;
-        config.peers.shardsPerTask = 4;
-        config.peers.maxAttemptsPerPeer = 2;
-        config.peers.backoffInitialMs = 5;
-        return config;
-    }
-
-    /** Tear the coordinator down and rebuild it with @p tweak applied
-     *  to the default config (for tests needing audit knobs). */
-    template <typename Tweak>
-    void
-    restartCoordinator(Tweak tweak)
-    {
-        _coord->requestDrain();
-        _coord->join();
-        server::ServerConfig config = coordConfig();
-        tweak(config);
-        _coordEngine = std::make_unique<engine::Engine>(plainConfig());
-        _coord = std::make_unique<server::RexServer>(*_coordEngine,
-                                                     config);
-        _coord->start();
-    }
-
-    void
-    TearDown() override
-    {
-        _coord->requestDrain();
-        _coord->join();
-        _peer->requestDrain();
-        _peer->join();
-    }
-
-    std::unique_ptr<engine::Engine> _peerEngine;
-    std::unique_ptr<engine::Engine> _coordEngine;
-    std::unique_ptr<server::RexServer> _peer;
-    std::unique_ptr<server::RexServer> _coord;
-};
-
-TEST_F(PeerCluster, DispatchedVerdictsMatchSingleNodeByteForByte)
-{
-    const std::string source =
-        TestRegistry::instance().sourceText("IRIW+addrs");
-
-    server::Client direct("127.0.0.1", _peer->port());
-    server::Client viaCoord("127.0.0.1", _coord->port());
-    server::ClientResponse a = direct.check(source, {"base"});
-    server::ClientResponse b = viaCoord.check(source, {"base"});
-    ASSERT_EQ(a.status, 200);
-    ASSERT_EQ(b.status, 200);
-    EXPECT_EQ(stabilise(trim(a.body)), stabilise(trim(b.body)));
-
-    EXPECT_GT(metricValue(viaCoord.get("/metrics").body,
-                          "rexd_peer_dispatch_total"),
-              0.0);
-    EXPECT_GT(metricValue(direct.get("/metrics").body,
-                          "rexd_shard_requests_total"),
-              0.0);
-}
-
-TEST_F(PeerCluster, InjectedPeerFaultsDegradeToLocalFallback)
-{
-    FaultGuard disarm;
-    engine::faultInjector().configure("peer-send:1.0:11");
-
-    const std::string source =
-        TestRegistry::instance().sourceText("IRIW+addrs");
-    server::Client viaCoord("127.0.0.1", _coord->port());
-    server::ClientResponse r = viaCoord.check(source, {"base"});
-    ASSERT_EQ(r.status, 200);
-
-    // Every dispatch died before reaching the peer, so the verdict came
-    // from local fallback — and is still the single-node answer.
-    engine::Engine reference(plainConfig());
-    engine::JobRecord expected = reference.verdictRecord(
-        parseLitmus(source), ModelParams::byName("base"));
-    server::JsonValue got = server::parseJson(trim(r.body));
-    EXPECT_EQ(got.find("verdict")->string, expected.verdict);
-    EXPECT_EQ(got.find("candidates")->integer,
-              static_cast<std::int64_t>(expected.candidates));
-
-    const std::string exposition = viaCoord.get("/metrics").body;
-    EXPECT_GT(metricValue(exposition, "rexd_peer_failures_total"), 0.0);
-    EXPECT_GT(metricValue(exposition,
-                          "rexd_peer_local_fallback_total"),
-              0.0);
-    EXPECT_GT(engine::faultInjector().injected(
-                  engine::FaultPoint::PeerSend),
-              0u);
-}
-
-TEST_F(PeerCluster, DistributedHammerMatchesTheLocalCampaign)
-{
-    gen::HammerConfig config;
-    config.seedBegin = 0;
-    config.seedEnd = 96;
-    config.chunk = 16;
-    config.budget.maxCandidates = 2000;
-
-    gen::Hammer hammer(config);
-    engine::Engine local(plainConfig());
-    gen::CampaignSummary expected = hammer.run(local);
-
-    server::Metrics poolMetrics;
-    server::PeerConfig peerConfig;
-    peerConfig.endpoints = {format("127.0.0.1:%u", _peer->port())};
-    server::PeerPool pool(peerConfig, &poolMetrics);
-    engine::Engine coordinator(plainConfig());
-    gen::CampaignSummary distributed =
-        server::runDistributedHammer(hammer, coordinator, pool);
-
-    EXPECT_EQ(distributed.render(), expected.render());
-    EXPECT_GT(poolMetrics.peerDispatchTotal.load(), 0u);
-    EXPECT_EQ(poolMetrics.peerLocalFallbackTotal.load(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Byzantine peers: corrupt frames, lies, quarantine, reinstatement
-// ---------------------------------------------------------------------
-
-TEST_F(PeerCluster, CorruptedFramesAreNeverMergedAndFallBackLocally)
-{
-    FaultGuard disarm;
-    engine::faultInjector().configure("peer-corrupt-frame:1.0:21");
-
-    const std::string source =
-        TestRegistry::instance().sourceText("IRIW+addrs");
-    server::Client viaCoord("127.0.0.1", _coord->port());
-    server::ClientResponse r = viaCoord.check(source, {"base"});
-    ASSERT_EQ(r.status, 200);
-
-    // Every frame failed the digest check, so nothing corrupted was
-    // merged — the verdict is the local fallback's, i.e. the truth.
-    engine::Engine reference(plainConfig());
-    engine::JobRecord expected = reference.verdictRecord(
-        parseLitmus(source), ModelParams::byName("base"));
-    server::JsonValue got = server::parseJson(trim(r.body));
-    EXPECT_EQ(got.find("verdict")->string, expected.verdict);
-    EXPECT_EQ(got.find("candidates")->integer,
-              static_cast<std::int64_t>(expected.candidates));
-
-    const std::string exposition = viaCoord.get("/metrics").body;
-    EXPECT_GT(metricValue(exposition,
-                          "rexd_shard_digest_mismatches_total"),
-              0.0);
-    EXPECT_GT(engine::faultInjector().injected(
-                  engine::FaultPoint::PeerCorruptFrame),
-              0u);
-}
-
-TEST_F(PeerCluster, LyingPeerIsAuditedQuarantinedAndTheMergeStaysTrue)
-{
-    restartCoordinator([](server::ServerConfig &config) {
-        config.peers.auditRate = 1.0;
-        config.peers.auditSeed = 9;
-        config.peers.lieQuarantineSeconds = 300;
-    });
-
-    FaultGuard disarm;
-    engine::faultInjector().configure("peer-lie:1.0:33");
-
-    const std::string source =
-        TestRegistry::instance().sourceText("IRIW+addrs");
-    server::Client viaCoord("127.0.0.1", _coord->port());
-    server::ClientResponse r = viaCoord.check(source, {"base"});
-    ASSERT_EQ(r.status, 200);
-
-    // Lies pass the envelope check (self-consistently signed) but every
-    // audit recomputes locally — and the coordinator cannot lie to
-    // itself — so the merged verdict is still the single-node answer.
-    engine::Engine reference(plainConfig());
-    engine::JobRecord expected = reference.verdictRecord(
-        parseLitmus(source), ModelParams::byName("base"));
-    server::JsonValue got = server::parseJson(trim(r.body));
-    EXPECT_EQ(got.find("verdict")->string, expected.verdict);
-    EXPECT_EQ(got.find("candidates")->integer,
-              static_cast<std::int64_t>(expected.candidates));
-
-    const std::string exposition = viaCoord.get("/metrics").body;
-    EXPECT_GT(metricValue(exposition, "rexd_peer_lies_total"), 0.0);
-    EXPECT_GE(metricValue(exposition, "rexd_peers_quarantined"), 1.0);
-    EXPECT_GT(engine::faultInjector().injected(
-                  engine::FaultPoint::PeerLie),
-              0u);
-}
-
-TEST_F(PeerCluster, QuarantinedLiarIsReinstatedAfterCleanProbes)
-{
-    restartCoordinator([](server::ServerConfig &config) {
-        config.peers.auditRate = 1.0;
-        config.peers.auditSeed = 9;
-        config.peers.lieQuarantineSeconds = 1;
-        config.peers.reinstateProbes = 1;
-        // One task for the whole plan: exactly one lie, so quarantine
-        // does not escalate past the 1-second first episode.
-        config.peers.shardsPerTask = 1 << 20;
-    });
-
-    FaultGuard disarm;
-    engine::faultInjector().configure("peer-lie:1.0:33");
-
-    const std::string source =
-        TestRegistry::instance().sourceText("IRIW+addrs");
-    server::Client viaCoord("127.0.0.1", _coord->port());
-    ASSERT_EQ(viaCoord.check(source, {"base"}).status, 200);
-    EXPECT_GE(metricValue(viaCoord.get("/metrics").body,
-                          "rexd_peers_quarantined"),
-              1.0);
-
-    // The lies stop, the quarantine lapses into probation, and one
-    // clean audited probe reinstates the peer.
-    engine::faultInjector().configure("");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-    ASSERT_EQ(viaCoord.check(source, {"ExS"}).status, 200);
-
-    const std::string exposition = viaCoord.get("/metrics").body;
-    EXPECT_EQ(metricValue(exposition, "rexd_peers_quarantined"), 0.0);
-    EXPECT_GT(metricValue(exposition, "rexd_peer_lies_total"), 0.0);
 }
 
 } // namespace
