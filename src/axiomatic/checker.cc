@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <optional>
@@ -45,28 +44,23 @@ namespace {
 /**
  * Folds staged candidates into a CheckResult.
  *
- * One accumulator per (serial run | shard); the per-combination
- * skeleton (or compiled-program fold) is cached lazily so verdict
- * checks that never reach the model (stop_at_first with a
- * non-satisfying candidate, or pre-filter rejection) pay nothing for
- * it.
+ * One accumulator per (serial run | shard); the compiled program's
+ * per-combination fold is built lazily so verdict checks that never
+ * reach the model (stop_at_first with a non-satisfying candidate, or
+ * pre-filter rejection) pay nothing for it.
  */
 struct StagedAccumulator {
     const LitmusTest &test;
-    const ModelParams &params;
     bool stopAtFirst;
     bool captureWitness;
     engine::Governor *governor;  //!< may be null (unlimited)
-    /** Compiled model's shared fold plan; null falls back to
-     *  checkConsistent(). The caller keeps it alive for the whole
-     *  check. */
-    const catc::FoldPlan *plan;
+    /** Compiled model's shared fold plan; the caller keeps it alive
+     *  for the whole check. */
+    const catc::FoldPlan &plan;
 
-    CheckResult result;
+    CheckResult result{};
 
-    std::optional<SkeletonRelations> skeleton;
-    std::uint64_t skeletonCombo = 0;
-    std::optional<catc::FoldedProgram> folded;
+    std::optional<catc::FoldedProgram> folded{};
     std::uint64_t foldedCombo = 0;
 
     /** Set when the last visited candidate was admitted and counted
@@ -129,32 +123,20 @@ struct StagedAccumulator {
         }
         const engine::CancelToken *token =
             governor ? governor->token() : nullptr;
-        ModelResult model;
-        if (plan) {
-            if (!folded) {
-                folded.emplace(*plan, cand);
-                foldedCombo = info.comboIndex;
-            } else if (foldedCombo != info.comboIndex) {
-                folded->refold(cand);
-                foldedCombo = info.comboIndex;
-            }
-            // The fast mode reorders checks and skips cycle
-            // extraction; only a failure that would actually be
-            // reported (first satisfying rejection) needs the
-            // program-order attributed run.
-            if (satisfies && result.forbiddingAxiom.empty())
-                model = folded->runAttributed(cand, token);
-            else
-                model = folded->runFast(cand, token);
-        } else {
-            if (!skeleton || skeletonCombo != info.comboIndex) {
-                skeleton = computeSkeleton(cand, params);
-                skeletonCombo = info.comboIndex;
-            }
-            model = checkConsistent(
-                cand, params, *skeleton, /*internal_prechecked=*/true,
-                token);
+        if (!folded) {
+            folded.emplace(plan, cand);
+            foldedCombo = info.comboIndex;
+        } else if (foldedCombo != info.comboIndex) {
+            folded->refold(cand);
+            foldedCombo = info.comboIndex;
         }
+        // The fast mode reorders checks and skips cycle extraction;
+        // only a failure that would actually be reported (first
+        // satisfying rejection) needs the program-order attributed run.
+        const ModelResult model =
+            satisfies && result.forbiddingAxiom.empty()
+                ? folded->runAttributed(cand, token)
+                : folded->runFast(cand, token);
         if (model.aborted) {
             // Token tripped between clauses: stop here. The candidate
             // is counted but unresolved; remember its flags so a range
@@ -206,16 +188,14 @@ mergeInto(CheckResult &into, CheckResult &&part)
 /** Serial staged check over an already-built enumerator. */
 CheckResult
 checkSerial(CandidateEnumerator &enumerator, const LitmusTest &test,
-            const ModelParams &params, bool stop_at_first,
-            bool capture_witness, engine::Governor *governor,
-            const catc::FoldPlan *plan)
+            bool stop_at_first, bool capture_witness,
+            engine::Governor *governor, const catc::FoldPlan &plan)
 {
     engine::crashContextSetStage("enumerate");
     if (governor)
         governor->noteStage("enumerate");
-    StagedAccumulator acc{test, params, stop_at_first, capture_witness,
-                          governor, plan,
-                          {}, std::nullopt, 0, std::nullopt, 0};
+    StagedAccumulator acc{test, stop_at_first, capture_witness, governor,
+                          plan};
     enumerator.forEachStaged(
         [&](CandidateExecution &cand,
             const CandidateEnumerator::StagedInfo &info) {
@@ -244,9 +224,9 @@ constexpr std::uint64_t kShardTarget = kCheckShardTarget;
  */
 CheckResult
 checkSharded(CandidateEnumerator &enumerator, const LitmusTest &test,
-             const ModelParams &params, bool stop_at_first,
-             bool capture_witness, engine::ThreadPool &pool,
-             engine::Governor *governor, const catc::FoldPlan *plan)
+             bool stop_at_first, bool capture_witness,
+             engine::ThreadPool &pool, engine::Governor *governor,
+             const catc::FoldPlan &plan)
 {
     engine::crashContextSetStage("plan");
     if (governor)
@@ -255,7 +235,7 @@ checkSharded(CandidateEnumerator &enumerator, const LitmusTest &test,
         enumerator.planShards(kShardTarget,
                               governor ? governor->token() : nullptr);
     if (shards.size() <= 1) {
-        return checkSerial(enumerator, test, params, stop_at_first,
+        return checkSerial(enumerator, test, stop_at_first,
                            capture_witness, governor, plan);
     }
 
@@ -302,9 +282,8 @@ checkSharded(CandidateEnumerator &enumerator, const LitmusTest &test,
                 out.cancelled = true;  // a lower shard already witnessed
                 return;
             }
-            StagedAccumulator acc{test, params, stop_at_first,
-                                  capture_witness, governor, plan,
-                                  {}, std::nullopt, 0, std::nullopt, 0};
+            StagedAccumulator acc{test, stop_at_first, capture_witness,
+                                  governor, plan};
             const bool completed = enumerator.visitShard(
                 shards[i],
                 [&](CandidateExecution &cand,
@@ -372,8 +351,7 @@ runRangeSerial(CandidateEnumerator &enumerator,
                const std::vector<CandidateEnumerator::Shard> &shards,
                std::uint64_t begin, std::uint64_t end,
                std::uint64_t offset, const LitmusTest &test,
-               const ModelParams &params, engine::Governor *governor,
-               const catc::FoldPlan *plan)
+               engine::Governor *governor, const catc::FoldPlan &plan)
 {
     RangeRun run;
     for (std::uint64_t i = begin; i < end; ++i) {
@@ -389,9 +367,8 @@ runRangeSerial(CandidateEnumerator &enumerator,
         shard.begin += startOff;
         if (shard.begin == shard.end)
             continue;  // the cursor sat exactly on the shard boundary
-        StagedAccumulator acc{test, params, /*stopAtFirst=*/true,
-                              /*captureWitness=*/false, governor, plan,
-                              {}, std::nullopt, 0, std::nullopt, 0};
+        StagedAccumulator acc{test, /*stopAtFirst=*/true,
+                              /*captureWitness=*/false, governor, plan};
         const bool completed = enumerator.visitShard(
             shard,
             [&](CandidateExecution &cand,
@@ -440,8 +417,8 @@ runRangePooled(CandidateEnumerator &enumerator,
                const std::vector<CandidateEnumerator::Shard> &shards,
                std::uint64_t begin, std::uint64_t end,
                std::uint64_t offset, const LitmusTest &test,
-               const ModelParams &params, engine::ThreadPool &pool,
-               engine::Governor *governor, const catc::FoldPlan *plan)
+               engine::ThreadPool &pool, engine::Governor *governor,
+               const catc::FoldPlan &plan)
 {
     const std::size_t count = static_cast<std::size_t>(end - begin);
     struct Slot {
@@ -478,9 +455,8 @@ runRangePooled(CandidateEnumerator &enumerator,
             slot.completed = true;
             return;
         }
-        StagedAccumulator acc{test, params, /*stopAtFirst=*/true,
-                              /*captureWitness=*/false, governor, plan,
-                              {}, std::nullopt, 0, std::nullopt, 0};
+        StagedAccumulator acc{test, /*stopAtFirst=*/true,
+                              /*captureWitness=*/false, governor, plan};
         const bool completed = enumerator.visitShard(
             shard,
             [&](CandidateExecution &cand,
@@ -553,13 +529,6 @@ runRangePooled(CandidateEnumerator &enumerator,
     return run;
 }
 
-bool
-envFlag(const char *name)
-{
-    const char *value = std::getenv(name);
-    return value && value[0] == '1' && value[1] == '\0';
-}
-
 } // namespace
 
 CheckResult
@@ -567,10 +536,6 @@ checkTest(const LitmusTest &test, const ModelParams &params,
           bool stop_at_first, bool capture_witness,
           engine::ThreadPool *pool, engine::Governor *governor)
 {
-    // The naive reference path exists for parity testing and does not
-    // speak the governor protocol; budgeted checks always run staged.
-    if (!governor && envFlag("REX_NAIVE_ENUM"))
-        return checkTestNaive(test, params, stop_at_first, capture_witness);
     // Compile (or fetch from the process-wide cache) the variant's
     // program and its fold plan once per check; every shard folds the
     // same plan. The shared_ptr outlives the shard tasks below.
@@ -584,12 +549,11 @@ checkTest(const LitmusTest &test, const ModelParams &params,
     CheckResult result;
     if (pool && pool->threadCount() > 1 &&
             !engine::ThreadPool::onWorkerThread()) {
-        result = checkSharded(enumerator, test, params, stop_at_first,
-                              capture_witness, *pool, governor,
-                              plan.get());
+        result = checkSharded(enumerator, test, stop_at_first,
+                              capture_witness, *pool, governor, *plan);
     } else {
-        result = checkSerial(enumerator, test, params, stop_at_first,
-                             capture_witness, governor, plan.get());
+        result = checkSerial(enumerator, test, stop_at_first,
+                             capture_witness, governor, *plan);
     }
     // A witness found under stop_at_first soundly settles Allowed even
     // when the budget tripped while other shards were still running;
@@ -651,12 +615,11 @@ checkShardRange(const LitmusTest &test, const ModelParams &params,
     if (pool && pool->threadCount() > 1 &&
             !engine::ThreadPool::onWorkerThread() && end - begin > 1) {
         total = runRangePooled(enumerator, shards, begin, end,
-                               spec.inShardOffset, test, params, *pool,
-                               governor, plan.get());
+                               spec.inShardOffset, test, *pool, governor,
+                               *plan);
     } else {
         total = runRangeSerial(enumerator, shards, begin, end,
-                               spec.inShardOffset, test, params,
-                               governor, plan.get());
+                               spec.inShardOffset, test, governor, *plan);
     }
 
     engine::crashContextSetStage("merge");

@@ -3,14 +3,13 @@
  * The executable-as-test-oracle checker (§5.1): is a litmus test's final
  * state observable under the model?
  *
- * Candidate checking runs on the enumerator's staged fast path: per
- * trace combination the witness-independent model relations are
- * computed once (SkeletonRelations), the coherence pre-filter skips
- * the model for SC-per-location-violating candidates, and candidates
- * are visited in a reusable buffer. Setting REX_NAIVE_ENUM=1 routes
- * checkTest() through the retained pre-staging reference path
- * (checkTestNaive); both produce identical CheckResults — the parity
- * test suite asserts it.
+ * Candidate checking runs on the enumerator's staged fast path and
+ * the compiled Figure 9 program (catc): per trace combination the
+ * program's witness-independent part is folded once, the coherence
+ * pre-filter skips the model for SC-per-location-violating candidates,
+ * and candidates are visited in a reusable buffer. checkTestNaive() is
+ * the retained pre-staging reference that the parity tests compare
+ * against; both produce identical CheckResults.
  *
  * When a thread pool is supplied, a test's candidate space is split
  * into shards checked in parallel and merged deterministically in
@@ -112,7 +111,7 @@ CheckResult checkTest(const LitmusTest &test, const ModelParams &params,
                       engine::Governor *governor = nullptr);
 
 /** Witness assignments per shard in the deterministic check plan:
- *  large enough to amortise the per-shard skeleton rebuild, small
+ *  large enough to amortise the per-shard program fold, small
  *  enough to split tiny tests. Continuation tokens address shards by
  *  index into a plan built with exactly this target, so it is part of
  *  the continuation fingerprint. */
@@ -191,7 +190,7 @@ ShardRangeOutcome checkShardRange(const LitmusTest &test,
 
 /** The retained pre-staging reference path: fresh candidate copy per
  *  witness assignment, full (unstaged) model check per candidate.
- *  Exists for parity testing; REX_NAIVE_ENUM=1 routes checkTest here. */
+ *  Exists for parity testing only. */
 CheckResult checkTestNaive(const LitmusTest &test,
                            const ModelParams &params,
                            bool stop_at_first = false,

@@ -15,9 +15,8 @@
  * by a per-location coherence pre-filter, so consumers can skip the
  * full model evaluation for candidates the internal (SC-per-location)
  * axiom rejects anyway. The pre-PR naive path (fresh deep copy per
- * candidate, no pre-filter) is retained as forEachNaive() as a
- * reference for parity testing (env REX_NAIVE_ENUM=1 routes checkTest
- * through it).
+ * candidate, no pre-filter) is retained as forEachNaive(), the
+ * reference that checkTestNaive() and the parity tests use.
  *
  * Env knobs:
  *   REX_PREFILTER_CHECK=1  assert, for every candidate, that the
@@ -99,7 +98,7 @@ class CandidateEnumerator
      * The retained pre-staging reference path: a fresh candidate is
      * materialized per witness assignment, with no pre-filter. Visits
      * the exact same candidates in the exact same order as the staged
-     * path; kept for parity tests and REX_NAIVE_ENUM=1.
+     * path; kept for parity tests.
      */
     void forEachNaive(
         const std::function<bool(CandidateExecution &)> &visit);

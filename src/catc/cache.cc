@@ -1,7 +1,6 @@
 #include "catc/cache.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -45,14 +44,7 @@ std::string
 programId(const ModelParams &params)
 {
     return std::string("catc1:") + engine::kModelRevision + ":" +
-           params.name();
-}
-
-bool
-compiledModelEnabled()
-{
-    const char *value = std::getenv("REX_COMPILED_MODEL");
-    return !(value && value[0] == '0' && value[1] == '\0');
+           engine::canonicalParamsText(params);
 }
 
 std::shared_ptr<const Program>
@@ -81,14 +73,6 @@ nativeStaged(const ModelParams &params)
     return it->second;
 }
 
-std::shared_ptr<const Program>
-programForCheck(const ModelParams &params)
-{
-    if (!compiledModelEnabled())
-        return nullptr;
-    return nativeStaged(params);
-}
-
 namespace {
 
 /** A plan bundled with the program it analyses, so the shared_ptr
@@ -115,8 +99,6 @@ plans()
 std::shared_ptr<const FoldPlan>
 planForCheck(const ModelParams &params)
 {
-    if (!compiledModelEnabled())
-        return nullptr;
     const std::string id = programId(params);
     {
         std::lock_guard<std::mutex> lock(gMutex);

@@ -2,17 +2,17 @@
  * @file
  * The process-wide compiled-program cache.
  *
- * Programs are keyed by programId() — "catc1:<model-revision>:<variant>"
- * — so a program is compiled once per (variant, model revision) and
- * shared by every test, shard, and rexd request in the process. rexd's
- * supervised workers are separate processes: the parent ships the id in
- * the rex-job-v1 frame and each worker satisfies it from its own cache
- * (compiling on first use), so the id doubles as the cross-process
- * cache key.
+ * Programs are keyed by programId() — "catc1:<model-revision>:<params>",
+ * where <params> is engine::canonicalParamsText() over every
+ * ModelParams field — so a program is compiled once per (model,
+ * model revision) and shared by every test, shard, and rexd request in
+ * the process. rexd's supervised workers are separate processes: the
+ * parent warms the cache before workers fork, and a worker forked
+ * earlier compiles on its first use.
  *
- * The compiled path is on by default; REX_COMPILED_MODEL=0 is the
- * escape hatch back to the staged interpreter (re-read on every call so
- * tests can toggle it).
+ * The compiled program is the checker's only Figure 9 evaluator;
+ * checkTest, range checks, the soundness hammer and the harness cat
+ * cross-check all fold planForCheck()'s shared plan.
  */
 
 #ifndef REX_CATC_CACHE_HH
@@ -37,32 +37,25 @@ struct CompileStats {
 
 CompileStats compileStats();
 
-/** Cache key / rex-job-v1 program id for @p params' native staged
- *  program. Embeds engine::kModelRevision so revisions never collide. */
+/** Cache key for @p params' native staged program. Covers every
+ *  ModelParams field and embeds engine::kModelRevision, so neither two
+ *  models nor two revisions ever share a program. */
 std::string programId(const ModelParams &params);
-
-/** False iff REX_COMPILED_MODEL is exactly "0" (re-read every call). */
-bool compiledModelEnabled();
 
 /**
  * The native staged program (no internal check — the enumerator's
  * coherence pre-filter covers it) for @p params, compiled on first use.
- * Never returns null; ignores REX_COMPILED_MODEL.
+ * Never returns null.
  */
 std::shared_ptr<const Program> nativeStaged(const ModelParams &params);
-
-/** nativeStaged(), or nullptr when the compiled path is disabled —
- *  the checker's single entry point. */
-std::shared_ptr<const Program> programForCheck(const ModelParams &params);
 
 class FoldPlan;
 
 /**
  * The shared structural fold analysis (catc/exec.hh) of
  * nativeStaged(@p params), built on first use and cached beside the
- * program, or nullptr when the compiled path is disabled. Sharing the
- * plan keeps per-shard fold setup proportional to the constant ops, not
- * the whole program analysis.
+ * program; never null. Sharing the plan keeps per-shard fold setup
+ * proportional to the constant ops, not the whole program analysis.
  */
 std::shared_ptr<const FoldPlan> planForCheck(const ModelParams &params);
 

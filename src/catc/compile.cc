@@ -93,7 +93,7 @@ compileNative(const ModelParams &params, bool include_internal)
     Builder b;
 
     // Event-kind sets and the upwards-closed barrier classes, exactly
-    // as computeSkeleton's KindSets builds them.
+    // as the native model's KindSets (axiomatic/model.cc) builds them.
     const std::uint32_t reads = b.input(Input::R);
     const std::uint32_t writes = b.input(Input::W);
     const std::uint32_t mem = b.emit(OpCode::UnionSet, reads, writes);

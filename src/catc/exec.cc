@@ -1,18 +1,9 @@
 #include "catc/exec.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "base/logging.hh"
 #include "engine/governor.hh"
-
-// Computed-goto dispatch is a GNU extension; elsewhere (and under
-// REX_CATC_SWITCH=1 at runtime) the switch loop below runs instead.
-#if defined(__GNUC__) || defined(__clang__)
-#define REX_CATC_COMPUTED_GOTO 1
-#else
-#define REX_CATC_COMPUTED_GOTO 0
-#endif
 
 namespace rex::catc {
 
@@ -135,10 +126,6 @@ FoldedProgram::FoldedProgram(const Program &program,
 void
 FoldedProgram::fold(const CandidateExecution &cand)
 {
-    const char *forceSwitch = std::getenv("REX_CATC_SWITCH");
-    _forceSwitch = forceSwitch && forceSwitch[0] == '1' &&
-                   forceSwitch[1] == '\0';
-
     _n = cand.size();
     const std::size_t nOps = _plan->program().ops.size();
     _regs.resize(nOps);
@@ -365,120 +352,7 @@ FoldedProgram::executePending(const CandidateExecution &cand)
     const std::uint32_t *const list = _pending.data();
     const std::size_t count = _pending.size();
     const std::size_t n = _n;
-    std::size_t i = 0;
-    if (count == 0)
-        return;
-
-#if REX_CATC_COMPUTED_GOTO
-    if (!_forceSwitch) {
-        // One dispatch table entry per OpCode, in enum order.
-        static const void *const kTable[] = {
-            &&op_LoadInput,      &&op_ZeroRel,       &&op_ZeroSet,
-            &&op_UnionRel,       &&op_InterRel,      &&op_DiffRel,
-            &&op_UnionSet,       &&op_InterSet,      &&op_DiffSet,
-            &&op_Seq,            &&op_Closure,       &&op_RtClosure,
-            &&op_OptionalRel,    &&op_InverseRel,    &&op_IdentityOn,
-            &&op_ComplementSet,  &&op_DomainOf,      &&op_RangeOf,
-            &&op_RestrictDomain, &&op_RestrictRange, &&op_Restricted,
-            &&op_Cartesian,
-        };
-        static_assert(sizeof(kTable) / sizeof(kTable[0]) ==
-                          static_cast<std::size_t>(OpCode::Count_),
-                      "dispatch table must cover every OpCode");
-        const Op *op = &ops[list[0]];
-        RegValue *out = &regs[list[0]];
-#define CATC_NEXT()                                                     \
-        do {                                                            \
-            if (++i == count)                                           \
-                return;                                                 \
-            op = &ops[list[i]];                                         \
-            out = &regs[list[i]];                                       \
-            goto *kTable[static_cast<std::size_t>(op->code)];           \
-        } while (0)
-        goto *kTable[static_cast<std::size_t>(op->code)];
-      op_LoadInput: {
-        const auto input = static_cast<Input>(op->a);
-        if (inputIsSet(input))
-            out->set = loadInputSet(input, cand);
-        else
-            out->rel = loadInputRel(input, cand);
-        CATC_NEXT();
-      }
-      op_ZeroRel:
-        out->rel.reset(n);
-        CATC_NEXT();
-      op_ZeroSet:
-        out->set = EventSet(n);
-        CATC_NEXT();
-      op_UnionRel:
-        out->rel = regs[op->a].rel;
-        out->rel |= regs[op->b].rel;
-        CATC_NEXT();
-      op_InterRel:
-        out->rel = regs[op->a].rel;
-        out->rel &= regs[op->b].rel;
-        CATC_NEXT();
-      op_DiffRel:
-        out->rel = regs[op->a].rel;
-        out->rel -= regs[op->b].rel;
-        CATC_NEXT();
-      op_UnionSet:
-        out->set = regs[op->a].set;
-        out->set |= regs[op->b].set;
-        CATC_NEXT();
-      op_InterSet:
-        out->set = regs[op->a].set;
-        out->set &= regs[op->b].set;
-        CATC_NEXT();
-      op_DiffSet:
-        out->set = regs[op->a].set;
-        out->set -= regs[op->b].set;
-        CATC_NEXT();
-      op_Seq:
-        out->rel = regs[op->a].rel.seq(regs[op->b].rel);
-        CATC_NEXT();
-      op_Closure:
-        out->rel = regs[op->a].rel.transitiveClosure();
-        CATC_NEXT();
-      op_RtClosure:
-        out->rel = regs[op->a].rel.reflexiveTransitiveClosure();
-        CATC_NEXT();
-      op_OptionalRel:
-        out->rel = regs[op->a].rel.optional();
-        CATC_NEXT();
-      op_InverseRel:
-        out->rel = regs[op->a].rel.inverse();
-        CATC_NEXT();
-      op_IdentityOn:
-        out->rel = Relation::identity(regs[op->a].set);
-        CATC_NEXT();
-      op_ComplementSet:
-        out->set = regs[op->a].set.complement();
-        CATC_NEXT();
-      op_DomainOf:
-        out->set = regs[op->a].rel.domain();
-        CATC_NEXT();
-      op_RangeOf:
-        out->set = regs[op->a].rel.range();
-        CATC_NEXT();
-      op_RestrictDomain:
-        out->rel = regs[op->a].rel.restrictDomain(regs[op->b].set);
-        CATC_NEXT();
-      op_RestrictRange:
-        out->rel = regs[op->a].rel.restrictRange(regs[op->b].set);
-        CATC_NEXT();
-      op_Restricted:
-        out->rel = regs[op->a].rel.restricted(regs[op->b].set,
-                                              regs[op->c].set);
-        CATC_NEXT();
-      op_Cartesian:
-        out->rel = Relation::cartesian(regs[op->a].set, regs[op->b].set);
-        CATC_NEXT();
-#undef CATC_NEXT
-    }
-#endif
-
-    for (; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         const Op &op = ops[list[i]];
         RegValue &out = regs[list[i]];
         switch (op.code) {

@@ -14,9 +14,8 @@
  *    evaluates every constant op (the SkeletonRelations equivalent gets
  *    baked into registers), resolves the constant checks to fixed
  *    outcomes (dead-code elimination: their ops never run again), and
- *    per candidate executes only the witness-dependent tails, via a
- *    computed-goto dispatch loop (switch fallback; REX_CATC_SWITCH=1
- *    forces it).
+ *    per candidate executes only the witness-dependent tails through
+ *    one switch dispatch loop.
  *
  * refold() moves a FoldedProgram to the next trace combination. Since
  * combinations of one test usually differ only in read values — which
@@ -37,9 +36,8 @@
  * when the failure diagnostic is actually needed (the checker's
  * first-satisfying-rejection), mirroring the staged checker.
  *
- * Not thread-safe: one FoldedProgram per accumulator/shard, like the
- * skeleton cache it replaces. A FoldPlan is immutable after
- * construction and safe to share across threads.
+ * Not thread-safe: one FoldedProgram per accumulator/shard. A FoldPlan
+ * is immutable after construction and safe to share across threads.
  */
 
 #ifndef REX_CATC_EXEC_HH
@@ -180,7 +178,6 @@ class FoldedProgram
     std::shared_ptr<const FoldPlan> _owned; //!< set by the Program ctor
     const FoldPlan *_plan;
     std::size_t _n = 0;
-    bool _forceSwitch = false;
 
     std::vector<RegValue> _regs;
     std::vector<ConstOutcome> _constOutcome; //!< per check

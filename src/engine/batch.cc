@@ -404,30 +404,6 @@ Engine::verdictRecordResumable(const LitmusTest &test,
     return record;
 }
 
-ShardRangeOutcome
-Engine::runShardRange(const LitmusTest &test, const ModelParams &params,
-                      const ShardRangeSpec &spec, const Budget *budget)
-{
-    std::optional<Governor> governor;
-    if (budget && !budget->unlimited())
-        governor.emplace(*budget, nullptr, &_liveCandidates);
-    ThreadPool *pool =
-        ThreadPool::onWorkerThread() ? nullptr : _pool.get();
-    crashContextSetJob(test.name.c_str(), params.name().c_str());
-    ShardRangeOutcome out = checkShardRange(
-        test, params, spec, pool, governor ? &*governor : nullptr);
-    if (governor) {
-        const std::uint64_t visited = governor->candidatesVisited();
-        _liveCandidates.fetch_sub(visited, std::memory_order_relaxed);
-        _candidatesTotal.fetch_add(visited, std::memory_order_relaxed);
-    } else {
-        _candidatesTotal.fetch_add(out.result.candidates,
-                                   std::memory_order_relaxed);
-    }
-    crashContextClearJob();
-    return out;
-}
-
 Engine &
 Engine::shared()
 {

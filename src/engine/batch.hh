@@ -207,17 +207,6 @@ class Engine
                                      const ContinuationState *resume =
                                          nullptr);
 
-    /**
-     * Run one shard range of @p test: checkShardRange() on the
-     * engine's pool with a governor built from @p budget
-     * (null/unlimited = no governor), with the engine's live-candidate
-     * accounting. Never touches the verdict cache or sink.
-     */
-    ShardRangeOutcome runShardRange(const LitmusTest &test,
-                                    const ModelParams &params,
-                                    const ShardRangeSpec &spec,
-                                    const Budget *budget = nullptr);
-
     /** Tasks queued (not yet running) in the pool; 0 when serial. */
     std::size_t
     poolQueueDepth() const

@@ -25,8 +25,8 @@ Governor::Governor(Budget budget, const CancelToken *external,
 {
     // Arming the deadline inside the token means every polling site in
     // the stack — not just admit() — can trip it, bounding the phases
-    // that run between candidate admissions (planning, skeleton
-    // builds, staged clauses).
+    // that run between candidate admissions (planning, folds, model
+    // evaluation).
     if (_budget.deadlineMicros != 0) {
         _token.armDeadline(
             _start + std::chrono::microseconds(_budget.deadlineMicros));

@@ -116,7 +116,7 @@ class CancelToken
      * cancelled() poll trips the Deadline axis. This puts the deadline
      * check at every polling site — crucially including the phases
      * that run *between* candidate admissions (shard planning, the
-     * skeleton builds, the staged model clauses), which on a large
+     * compiled model's folds and witness tails), which on a large
      * test can individually outlast the whole budget. Call before the
      * token is shared; not thread-safe against concurrent polls.
      */

@@ -179,21 +179,15 @@ struct Job {
     Budget budget;
     bool crash = false;  //!< injected worker-crash decision
     bool hang = false;   //!< injected worker-hang decision
-    /** Compiled-model program id the parent expects the worker to use
-     *  (catc::programId); empty = interpreted path. */
-    std::string programId;
     std::string testText;
 };
 
 std::string
 buildJobPayload(const std::string &sourceText, const std::string &variant,
-                const Budget &budget, bool crash, bool hang,
-                const std::string &program_id)
+                const Budget &budget, bool crash, bool hang)
 {
     std::string payload = "rex-job-v1\n";
     payload += "variant " + variant + "\n";
-    if (!program_id.empty())
-        payload += "program " + program_id + "\n";
     payload += format("deadline_us %" PRIu64 "\n", budget.deadlineMicros);
     payload += format("max_candidates %" PRIu64 "\n",
                       budget.maxCandidates);
@@ -227,8 +221,6 @@ parseJobPayload(const std::string &payload, Job &job)
             space == std::string::npos ? "" : line.substr(space + 1);
         if (field == "variant") {
             job.variant = rest;
-        } else if (field == "program") {
-            job.programId = rest;
         } else if (field == "deadline_us") {
             job.budget.deadlineMicros =
                 std::strtoull(rest.c_str(), nullptr, 10);
@@ -444,15 +436,6 @@ workerLoop(int fd, CrashContext *status)
         try {
             LitmusTest test = parseLitmus(job.testText);
             const ModelParams params = ModelParams::byName(job.variant);
-            // The parent picks the model path: a program id matching
-            // this worker's own compile (same variant, same model
-            // revision) enables the compiled path, satisfied from the
-            // worker's process-local cache; empty or mismatched falls
-            // back to the interpreter. Safe to setenv: this loop is
-            // the process's only thread.
-            const bool compiled = !job.programId.empty() &&
-                                  job.programId == catc::programId(params);
-            ::setenv("REX_COMPILED_MODEL", compiled ? "1" : "0", 1);
             crashContextSetJob(test.name.c_str(), job.variant.c_str());
             // Always governed: an unlimited Governor only counts (the
             // live pointer feeds the shared progress counter), so the
@@ -746,13 +729,10 @@ Supervisor::run(const std::string &sourceText, const std::string &testName,
 
     const Budget effective = budget ? *budget : Budget{};
 
-    // Compile once in the parent — workers forked from now on inherit
-    // the warm cache — and ship only the program id; each worker
-    // satisfies it from its own per-process cache (compiling on first
-    // use if it forked before the warm-up).
-    std::string programId;
-    if (catc::compiledModelEnabled())
-        programId = catc::nativeStaged(ModelParams::byName(variant))->id;
+    // Compile and plan once in the parent: workers forked from now on
+    // inherit the warm cache, and one forked before the warm-up
+    // compiles on its first check.
+    catc::planForCheck(ModelParams::byName(variant));
 
     auto finishCrash = [&](const std::string &signal) {
         outcome.kind = SupervisedOutcome::Kind::Crashed;
@@ -770,8 +750,7 @@ Supervisor::run(const std::string &sourceText, const std::string &testName,
     };
 
     if (!sendFrame(fd, buildJobPayload(sourceText, variant, effective,
-                                       injectCrash, injectHang,
-                                       programId))) {
+                                       injectCrash, injectHang))) {
         // The worker died idle before this job ever reached it (an
         // external kill): reap it here — we own the busy slot.
         return finishCrash(reapWorker(pid));

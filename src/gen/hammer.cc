@@ -8,14 +8,16 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 
 #include "axiomatic/enumerate.hh"
-#include "axiomatic/model.hh"
 #include "base/fsync.hh"
 #include "base/logging.hh"
+#include "catc/cache.hh"
+#include "catc/exec.hh"
 #include "engine/batch.hh"
 #include "engine/cache.hh"
 #include "isa/register.hh"
@@ -146,16 +148,19 @@ soundnessCheck(const GeneratedTest &generated, const HammerConfig &config)
     SeedResult result;
     result.features = generated.features;
 
-    // Axiomatic side: every consistent candidate's outcome key, on the
-    // staged path with a per-combination skeleton cache. The governor
-    // bounds pathological seeds; a trip means Skipped, not a verdict.
+    // Axiomatic side: every consistent candidate's outcome key, from
+    // the compiled model folded once per trace combination (the same
+    // program checkTest and rexd run). The governor bounds pathological
+    // seeds; a trip means Skipped, not a verdict.
     engine::Governor governor(config.budget);
     const engine::CancelToken *token = governor.token();
+    const std::shared_ptr<const catc::FoldPlan> plan =
+        catc::planForCheck(config.params);
 
     std::set<std::string> allowed;
     bool aborted = false;
-    std::optional<std::uint64_t> skeleton_combo;
-    SkeletonRelations skeleton;
+    std::optional<catc::FoldedProgram> folded;
+    std::uint64_t folded_combo = 0;
 
     CandidateEnumerator enumerator(test, token);
     enumerator.forEachStaged(
@@ -167,13 +172,12 @@ soundnessCheck(const GeneratedTest &generated, const HammerConfig &config)
             }
             if (!info.coherent)
                 return true;  // internal axiom rejects; key irrelevant
-            if (!skeleton_combo || *skeleton_combo != info.comboIndex) {
-                skeleton = computeSkeleton(cand, config.params);
-                skeleton_combo = info.comboIndex;
-            }
-            ModelResult model = checkConsistent(
-                cand, config.params, skeleton,
-                /*internal_prechecked=*/true, token);
+            if (!folded)
+                folded.emplace(*plan, cand);
+            else if (folded_combo != info.comboIndex)
+                folded->refold(cand);
+            folded_combo = info.comboIndex;
+            const ModelResult model = folded->runFast(cand, token);
             if (model.aborted) {
                 aborted = true;
                 return false;

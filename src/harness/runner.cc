@@ -1,12 +1,15 @@
 #include "harness/runner.hh"
 
 #include <chrono>
+#include <memory>
+#include <optional>
 
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
-#include "axiomatic/model.hh"
 #include "base/strings.hh"
 #include "cat/catmodel.hh"
+#include "catc/cache.hh"
+#include "catc/exec.hh"
 #include "harness/table.hh"
 #include "operational/runner.hh"
 
@@ -141,45 +144,41 @@ reproduceFigure(const LitmusTest &test, const FigureOptions &options,
                 return verdictName(
                     engine.verdict(test, variant).observable);
             }
-            // Cat-vs-native cross-check: one job, same single-pass
+            // Cat-vs-compiled cross-check: one job, same single-pass
             // early-exit order as the legacy serial path, but on the
-            // staged enumeration — per (combo, variant) the native
-            // skeleton is computed once and shared by every witness.
+            // staged enumeration — per (combo, variant) the compiled
+            // program is folded once and shared by every witness.
             auto start = std::chrono::steady_clock::now();
             const cat::CatModel &model = cat::CatModel::shipped();
             bool agree = true;
+            const std::size_t num_checked = options.variants.size();
+            std::vector<std::shared_ptr<const catc::FoldPlan>> plans;
+            for (const ModelParams &variant : options.variants)
+                plans.push_back(catc::planForCheck(variant));
+            std::vector<std::optional<catc::FoldedProgram>> folds(
+                num_checked);
+            std::vector<std::size_t> fold_combo(num_checked, 0);
             CandidateEnumerator enumerator(test);
-            std::vector<SkeletonRelations> skels(options.variants.size());
-            std::vector<bool> skel_valid(options.variants.size(), false);
-            std::size_t skel_combo = 0;
             enumerator.forEachStaged(
                 [&](CandidateExecution &cand,
                     const CandidateEnumerator::StagedInfo &info) {
-                for (std::size_t v = 0; v < options.variants.size(); ++v) {
+                for (std::size_t v = 0; v < num_checked; ++v) {
                     const ModelParams &variant = options.variants[v];
-                    bool native_consistent;
-                    if (!info.coherent) {
-                        // The coherence pre-filter is exactly the
-                        // internal (SC-per-location) axiom, which no
-                        // variant relaxes: native rejects outright.
-                        native_consistent = false;
-                    } else {
-                        if (!skel_valid[v] ||
-                                skel_combo != info.comboIndex) {
-                            if (skel_combo != info.comboIndex) {
-                                std::fill(skel_valid.begin(),
-                                          skel_valid.end(), false);
-                                skel_combo = info.comboIndex;
-                            }
-                            skels[v] = computeSkeleton(cand, variant);
-                            skel_valid[v] = true;
-                        }
-                        native_consistent =
-                            checkConsistent(cand, variant, skels[v],
-                                            /*internal_prechecked=*/true)
-                                .consistent;
+                    bool compiled_consistent = false;
+                    // The coherence pre-filter is exactly the internal
+                    // (SC-per-location) axiom, which no variant
+                    // relaxes: an incoherent candidate is rejected
+                    // outright.
+                    if (info.coherent) {
+                        if (!folds[v])
+                            folds[v].emplace(*plans[v], cand);
+                        else if (fold_combo[v] != info.comboIndex)
+                            folds[v]->refold(cand);
+                        fold_combo[v] = info.comboIndex;
+                        compiled_consistent =
+                            folds[v]->runFast(cand).consistent;
                     }
-                    if (native_consistent !=
+                    if (compiled_consistent !=
                             model.check(cand, variant).consistent) {
                         agree = false;
                         return false;

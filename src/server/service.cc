@@ -251,11 +251,9 @@ CheckService::runCheckStreaming(
         // Warm the variant's compiled program before the check is
         // timed; after the first request per variant this is a cache
         // hit, so the histogram isolates actual compile cost.
-        if (catc::compiledModelEnabled()) {
-            auto compile_start = std::chrono::steady_clock::now();
-            catc::nativeStaged(ModelParams::byName(variant));
-            _metrics.stageCompile.observe(microsSince(compile_start));
-        }
+        auto compile_start = std::chrono::steady_clock::now();
+        catc::nativeStaged(ModelParams::byName(variant));
+        _metrics.stageCompile.observe(microsSince(compile_start));
         auto check_start = std::chrono::steady_clock::now();
         // Resumable/resumed checks take the shard-range merge loop
         // behind continuation tokens; everything else keeps the legacy

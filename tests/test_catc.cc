@@ -5,17 +5,15 @@
  * (bytecode.hh), and the compiled path's integration into the checker
  * and the verdict cache.
  *
- * The load-bearing properties:
- *  - compiled == interpreted == naive on every built-in litmus test
- *    under every paper variant (counts, verdicts, forbidding axiom and
- *    cycle), in both exhaustive and stop_at_first modes;
+ * The load-bearing properties (compiled == naive on every built-in
+ * and generated test is test_staged_parity's job):
  *  - per candidate, the folded program's attributed run reproduces
  *    checkConsistent exactly, and its fast run agrees on the verdict;
- *  - the switch dispatch loop (REX_CATC_SWITCH=1) is observationally
- *    identical to the computed-goto one;
+ *  - the sharded compiled check matches the serial one;
  *  - malformed bytecode is rejected by verify(), never executed;
- *  - the model-revision bump means interpreter-era cache entries are
- *    misses, not collisions.
+ *  - programs are cached per model (every parameter) and model
+ *    revision, so two models never share a program and
+ *    interpreter-era cache entries are misses, not collisions.
  */
 
 #include <cstdlib>
@@ -40,34 +38,6 @@
 namespace rex {
 namespace {
 
-/** RAII environment-variable override (restores on scope exit). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : _name(name)
-    {
-        const char *old = std::getenv(name);
-        if (old)
-            _old = old;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~EnvGuard()
-    {
-        if (_old)
-            ::setenv(_name, _old->c_str(), 1);
-        else
-            ::unsetenv(_name);
-    }
-
-  private:
-    const char *_name;
-    std::optional<std::string> _old;
-};
-
 void
 expectSameResult(const CheckResult &a, const CheckResult &b,
                  const std::string &context)
@@ -78,52 +48,6 @@ expectSameResult(const CheckResult &a, const CheckResult &b,
     EXPECT_EQ(a.witnesses, b.witnesses) << context;
     EXPECT_EQ(a.forbiddingAxiom, b.forbiddingAxiom) << context;
     EXPECT_EQ(a.forbiddingCycle, b.forbiddingCycle) << context;
-}
-
-TEST(CatcParity, CompiledMatchesInterpretedAndNaiveEverywhere)
-{
-    // The tentpole cross-validation: compiled (default path) ==
-    // staged interpreter (REX_COMPILED_MODEL=0) == naive reference,
-    // on all built-in tests x paper variants, both modes.
-    for (const LitmusTest *test : TestRegistry::instance().all()) {
-        for (const ModelParams &params : ModelParams::paperVariants()) {
-            std::string context = test->name + " / " + params.name();
-            CheckResult compiled = checkTest(*test, params);
-            CheckResult compiledFirst = checkTest(*test, params, true);
-            CheckResult interpreted, interpretedFirst;
-            {
-                EnvGuard off("REX_COMPILED_MODEL", "0");
-                interpreted = checkTest(*test, params);
-                interpretedFirst = checkTest(*test, params, true);
-            }
-            expectSameResult(compiled, interpreted, context);
-            expectSameResult(compiledFirst, interpretedFirst,
-                             context + " (stop_at_first)");
-            expectSameResult(compiled, checkTestNaive(*test, params),
-                             context + " (naive)");
-            expectSameResult(compiledFirst,
-                             checkTestNaive(*test, params, true),
-                             context + " (naive stop_at_first)");
-        }
-    }
-}
-
-TEST(CatcParity, SwitchDispatchMatchesComputedGoto)
-{
-    EnvGuard force("REX_CATC_SWITCH", "1");
-    for (const LitmusTest *test : TestRegistry::instance().all()) {
-        for (const ModelParams &params : ModelParams::paperVariants()) {
-            CheckResult switched = checkTest(*test, params);
-            CheckResult reference;
-            {
-                EnvGuard normal("REX_CATC_SWITCH", nullptr);
-                reference = checkTest(*test, params);
-            }
-            expectSameResult(switched, reference,
-                             test->name + " / " + params.name() +
-                                 " (switch dispatch)");
-        }
-    }
 }
 
 TEST(CatcParity, ShardedCompiledMatchesSerial)
@@ -454,10 +378,41 @@ TEST(CatcCache, ProgramIdEmbedsModelRevision)
 {
     const std::string id = catc::programId(ModelParams::base());
     EXPECT_NE(id.find(engine::kModelRevision), std::string::npos) << id;
-    EXPECT_NE(id.find("base"), std::string::npos) << id;
-    // One program per variant, stable across calls.
+    EXPECT_NE(id.find(engine::canonicalParamsText(ModelParams::base())),
+              std::string::npos) << id;
+    // One program per model, stable across calls.
     EXPECT_EQ(id, catc::programId(ModelParams::base()));
     EXPECT_NE(id, catc::programId(ModelParams::paperVariants().back()));
+    // Models that share a display name still get distinct programs.
+    ModelParams noGic = ModelParams::base();
+    noGic.gicExtension = false;
+    EXPECT_EQ(noGic.name(), "base");
+    EXPECT_NE(id, catc::programId(noGic));
+    ModelParams seaRNoEts2 = ModelParams::seaReads();
+    seaRNoEts2.featEts2 = false;
+    EXPECT_EQ(seaRNoEts2.name(), "noETS2");
+    EXPECT_NE(catc::programId(ModelParams::byName("noETS2")),
+              catc::programId(seaRNoEts2));
+}
+
+TEST(CatcCache, UnnamedModelsNeverReuseANamedVariantsProgram)
+{
+    // Compile the named variants first, so a cache keyed by display
+    // name would hand their programs to the two models below.
+    catc::planForCheck(ModelParams::base());
+    catc::planForCheck(ModelParams::byName("noETS2"));
+    ModelParams noGic = ModelParams::base();
+    noGic.gicExtension = false;
+    ModelParams seaRNoEts2 = ModelParams::seaReads();
+    seaRNoEts2.featEts2 = false;
+    for (const ModelParams &params : {noGic, seaRNoEts2}) {
+        for (const LitmusTest *test : TestRegistry::instance().all()) {
+            const std::string context =
+                test->name + " / " + engine::canonicalParamsText(params);
+            expectSameResult(checkTest(*test, params),
+                             checkTestNaive(*test, params), context);
+        }
+    }
 }
 
 TEST(CatcCache, CompileOncePerVariant)
@@ -470,23 +425,6 @@ TEST(CatcCache, CompileOncePerVariant)
     const catc::CompileStats after = catc::compileStats();
     EXPECT_GE(after.hits, before.hits + 1);
     EXPECT_EQ(first->id, catc::programId(ModelParams::base()));
-}
-
-TEST(CatcCache, EscapeHatchDisablesCompiledPath)
-{
-    EnvGuard off("REX_COMPILED_MODEL", "0");
-    EXPECT_FALSE(catc::compiledModelEnabled());
-    EXPECT_EQ(catc::programForCheck(ModelParams::base()), nullptr);
-    {
-        EnvGuard on("REX_COMPILED_MODEL", "1");
-        EXPECT_TRUE(catc::compiledModelEnabled());
-        EXPECT_NE(catc::programForCheck(ModelParams::base()), nullptr);
-    }
-    {
-        // Any value other than exactly "0" leaves the path enabled.
-        EnvGuard odd("REX_COMPILED_MODEL", "00");
-        EXPECT_TRUE(catc::compiledModelEnabled());
-    }
 }
 
 TEST(CatcCache, StaleRevisionVerdictEntryIsAMiss)

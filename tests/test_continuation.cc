@@ -20,6 +20,7 @@
 #include "base/strings.hh"
 #include "engine/batch.hh"
 #include "engine/continuation.hh"
+#include "engine/pool.hh"
 #include "litmus/registry.hh"
 #include "server/json.hh"
 #include "server/metrics.hh"
@@ -218,12 +219,12 @@ TEST(ContinuationToken, FingerprintCoversIdentityAndPayload)
 
 TEST(ShardRange, PartitionedRangesSumToTheWholeCheck)
 {
-    engine::Engine engine(plainConfig(2));
+    engine::ThreadPool pool(2);
     const LitmusTest &test = TestRegistry::instance().get("IRIW+addrs");
     const ModelParams params = ModelParams::byName("base");
 
     ShardRangeSpec whole;
-    ShardRangeOutcome full = engine.runShardRange(test, params, whole);
+    ShardRangeOutcome full = checkShardRange(test, params, whole, &pool);
     ASSERT_TRUE(full.planned);
     ASSERT_TRUE(full.completed);
     ASSERT_GT(full.planSize, 1u);
@@ -234,8 +235,8 @@ TEST(ShardRange, PartitionedRangesSumToTheWholeCheck)
         ShardRangeSpec lo, hi;
         lo.shardEnd = cut;
         hi.shardBegin = cut;
-        ShardRangeOutcome a = engine.runShardRange(test, params, lo);
-        ShardRangeOutcome b = engine.runShardRange(test, params, hi);
+        ShardRangeOutcome a = checkShardRange(test, params, lo, &pool);
+        ShardRangeOutcome b = checkShardRange(test, params, hi, &pool);
         ASSERT_TRUE(a.planned && b.planned);
         EXPECT_TRUE(a.completed && b.completed);
         EXPECT_EQ(a.planSize, full.planSize);

@@ -5,9 +5,11 @@
  * mutate-and-undo odometer) must be observationally identical to the
  * retained naive reference path (fresh candidate copy per witness
  * assignment, full model check per candidate) on every built-in litmus
- * test under every paper model variant — same counts, same verdict,
- * same forbidding explanation — and the sharded parallel path must be
- * byte-identical to the serial one.
+ * test, and on rexgen's random and cycle-mode tests, under every paper
+ * model variant — same counts, same verdict, same forbidding
+ * explanation — and the sharded parallel path must be byte-identical to
+ * the serial one. The staged checker evaluates the compiled Figure 9
+ * program (catc); the naive path runs the native clauses.
  */
 
 #include <cstdlib>
@@ -18,6 +20,8 @@
 #include "axiomatic/enumerate.hh"
 #include "base/logging.hh"
 #include "engine/pool.hh"
+#include "gen/cycle.hh"
+#include "gen/generator.hh"
 #include "litmus/parser.hh"
 #include "litmus/registry.hh"
 
@@ -48,34 +52,54 @@ expectSameResult(const CheckResult &a, const CheckResult &b,
     }
 }
 
-TEST(StagedParity, AllBuiltinTestsAllVariants)
+/** checkTest against the naive reference under every paper variant,
+ *  exhaustively and in verdict-only mode. */
+void
+expectMatchesNaiveAllVariants(const LitmusTest &test,
+                              const std::string &name)
 {
-    for (const LitmusTest *test : TestRegistry::instance().all()) {
-        for (const ModelParams &params : ModelParams::paperVariants()) {
-            std::string context = test->name + " / " + params.name();
-            expectSameResult(checkTest(*test, params),
-                             checkTestNaive(*test, params), context);
-            // Verdict-only mode stops at different candidates, so it is
-            // a distinct code path: compare it too.
-            expectSameResult(
-                checkTest(*test, params, true, false),
-                checkTestNaive(*test, params, true, false),
-                context + " (stop_at_first)");
-        }
+    for (const ModelParams &params : ModelParams::paperVariants()) {
+        std::string context = name + " / " + params.name();
+        expectSameResult(checkTest(test, params),
+                         checkTestNaive(test, params), context);
+        // Verdict-only mode stops at different candidates, so it is a
+        // distinct code path: compare it too.
+        expectSameResult(checkTest(test, params, true, false),
+                         checkTestNaive(test, params, true, false),
+                         context + " (stop_at_first)");
     }
 }
 
-TEST(StagedParity, EnvNaiveEnumMatchesStaged)
+TEST(StagedParity, AllBuiltinTestsAllVariants)
 {
-    // REX_NAIVE_ENUM=1 must route checkTest through the reference path
-    // with identical results.
-    const LitmusTest &test =
-        TestRegistry::instance().get("MP.EL1+dmb.sy+dataesrsvc");
-    CheckResult staged = checkTest(test, ModelParams::base());
-    ASSERT_EQ(setenv("REX_NAIVE_ENUM", "1", 1), 0);
-    CheckResult naive = checkTest(test, ModelParams::base());
-    ASSERT_EQ(unsetenv("REX_NAIVE_ENUM"), 0);
-    expectSameResult(staged, naive, "REX_NAIVE_ENUM");
+    for (const LitmusTest *test : TestRegistry::instance().all())
+        expectMatchesNaiveAllVariants(*test, test->name);
+}
+
+TEST(StagedParity, GeneratedRandomTestsAllVariants)
+{
+    // rexgen's random mode reaches shapes no builtin has; the hammer
+    // trusts the compiled program on all of them.
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        const gen::GeneratedTest generated =
+            gen::generate(seed, gen::GenConfig{});
+        expectMatchesNaiveAllVariants(parseLitmus(generated.source),
+                                      "random seed " +
+                                          std::to_string(seed));
+    }
+}
+
+TEST(StagedParity, GeneratedCycleTestsAllVariants)
+{
+    const std::vector<gen::Cycle> inventory =
+        gen::enumerateCycles(gen::CycleConfig{});
+    ASSERT_GE(inventory.size(), 50u);
+    for (std::size_t i = 0; i < 50; ++i) {
+        const gen::GeneratedTest generated =
+            gen::synthesizeCycle(inventory[i]);
+        expectMatchesNaiveAllVariants(parseLitmus(generated.source),
+                                      gen::cycleName(inventory[i]));
+    }
 }
 
 TEST(StagedParity, PrefilterAgreesWithFullInternalCheck)
