@@ -10,8 +10,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "catc/cache.hh"
 #include "catc/exec.hh"
+#include "gen/generator.hh"
+#include "gen/hammer.hh"
 #include "rex/rex.hh"
 
 namespace {
@@ -240,6 +244,35 @@ BM_OperationalExplore(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OperationalExplore);
+
+void
+BM_OperationalExploreGenerated(benchmark::State &state)
+{
+    // The hammer's operational side: rexgen random seeds 0-49 explored
+    // on maxRelaxed at the hammer's state cap.
+    const gen::HammerConfig config;
+    std::vector<LitmusTest> tests;
+    for (std::uint64_t seed = 0; seed < 50; ++seed)
+        tests.push_back(parseLitmus(gen::generate(seed, config.gen).source));
+    std::size_t states = 0;
+    std::chrono::nanoseconds elapsed{0};
+    for (auto _ : state) {
+        const auto start = std::chrono::steady_clock::now();
+        states = 0;
+        for (const LitmusTest &test : tests) {
+            states += op::explore(test, op::CoreProfile::maxRelaxed(),
+                                  config.maxStates).statesVisited;
+        }
+        elapsed += std::chrono::steady_clock::now() - start;
+        benchmark::DoNotOptimize(states);
+    }
+    state.counters["states"] = static_cast<double>(states);
+    state.counters["ns_per_state"] =
+        static_cast<double>(elapsed.count()) /
+        (static_cast<double>(states) *
+         static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_OperationalExploreGenerated)->Unit(benchmark::kMillisecond);
 
 void
 BM_Assembler(benchmark::State &state)

@@ -23,6 +23,19 @@ Redistributor::state(std::uint32_t intid) const
     return it == _states.end() ? IntState::Inactive : it->second;
 }
 
+std::array<IntState, kNumSgis>
+Redistributor::sgiStates() const
+{
+    std::array<IntState, kNumSgis> out;
+    out.fill(IntState::Inactive);
+    for (const auto &[intid, state] : _states) {
+        if (intid >= kNumSgis)
+            break;
+        out[intid] = state;
+    }
+    return out;
+}
+
 void
 Redistributor::pend(std::uint32_t intid)
 {

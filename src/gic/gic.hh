@@ -13,6 +13,7 @@
 #ifndef REX_GIC_GIC_HH
 #define REX_GIC_GIC_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -38,6 +39,9 @@ inline constexpr std::uint32_t kSpuriousIntid = 1023;
 /** Priority value meaning "idle" (no active interrupt). */
 inline constexpr std::uint8_t kIdlePriority = 0xFF;
 
+/** Number of SGI INTIDs (0..15). */
+inline constexpr std::uint32_t kNumSgis = 16;
+
 /** Default priority assigned to every INTID until configured. */
 inline constexpr std::uint8_t kDefaultPriority = 0xA0;
 
@@ -53,6 +57,9 @@ class Redistributor
   public:
     /** Current state of @p intid. */
     IntState state(std::uint32_t intid) const;
+
+    /** The states of all SGIs (INTIDs 0..15), read in one pass. */
+    std::array<IntState, kNumSgis> sgiStates() const;
 
     /** Source asserts the interrupt (edge): Inactive -> Pending,
      *  Active -> Active&Pending (one instance buffered; further asserts
@@ -100,6 +107,13 @@ class Redistributor
     std::uint32_t highestPendingDeliverable() const;
 
     std::uint8_t runningPriority() const { return _runningPriority; }
+    std::uint8_t priorityMask() const { return _priorityMask; }
+
+    /** Pre-acknowledge running priorities, oldest first. */
+    const std::vector<std::uint8_t> &priorityStack() const
+    {
+        return _priorityStack;
+    }
 
   private:
     bool deliverable(std::uint32_t intid) const;

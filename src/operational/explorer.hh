@@ -1,9 +1,17 @@
 /**
  * @file
  * Exhaustive exploration of the operational machine: enumerates every
- * reachable final state (memoised on machine state), used to check the
- * simulator sound against the axiomatic model — every operationally
- * reachable outcome must be axiomatically allowed.
+ * reachable final state, used to check the simulator sound against the
+ * axiomatic model — every operationally reachable outcome must be
+ * axiomatically allowed.
+ *
+ * The search is a depth-first walk memoised on Machine::stateKey(), a
+ * compact byte key of only the fields the test's code can change. The
+ * visited set keeps every full key and compares bytes on a hash match,
+ * so states are merged only when they are equal. DFS frames are reused
+ * by depth and each successor is built by copy-assignment into the
+ * frame above its parent, so no successor allocates once the frames
+ * have grown (docs/OPERATIONAL.md).
  */
 
 #ifndef REX_OPERATIONAL_EXPLORER_HH

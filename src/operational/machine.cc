@@ -1,6 +1,8 @@
 #include "operational/machine.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "base/logging.hh"
 #include "base/strings.hh"
@@ -95,7 +97,7 @@ Machine::cpuInterface(int tid) const
     // cast localises the machine's logically-mutable GIC access.
     auto *self = const_cast<Machine *>(this);
     return gic::CpuInterface(self->_gic, static_cast<std::uint32_t>(tid),
-                             _test.threads[static_cast<std::size_t>(
+                             _test->threads[static_cast<std::size_t>(
                                  tid)].eoiMode1);
 }
 
@@ -114,23 +116,82 @@ Machine::Transition::toString() const
 }
 
 Machine::Machine(const LitmusTest &test, const CoreProfile &profile)
-    : _test(test), _profile(profile), _gic(test.threads.size())
+    : _test(&test), _profile(profile), _gic(test.threads.size())
 {
+    computeKeyMasks();
     reset();
+}
+
+void
+Machine::computeKeyMasks()
+{
+    _keyMasks.assign(_test->threads.size(), KeyMask{});
+    for (std::size_t t = 0; t < _test->threads.size(); ++t) {
+        const LitmusThread &spec = _test->threads[t];
+        KeyMask &mask = _keyMasks[t];
+        auto reg = [&](isa::RegId r) { mask.regs |= 1u << r; };
+        auto sysreg = [&](Sysreg r) { mask.sysregs |= 1u << sysregIndex(r); };
+        for (const isa::Program *prog : {&spec.program, &spec.handler}) {
+            for (const Instruction &inst : prog->code) {
+                switch (inst.op) {
+                  case Opcode::MovImm:
+                  case Opcode::MovReg:
+                  case Opcode::Alu:
+                  case Opcode::Ldr:
+                  case Opcode::Ldar:
+                  case Opcode::Ldapr:
+                  case Opcode::Ldxr:
+                    reg(inst.rd);
+                    break;
+                  case Opcode::Mrs:
+                    reg(inst.rd);
+                    if (inst.sysreg == Sysreg::ICC_IAR1_EL1)
+                        _gicLive = true;
+                    break;
+                  case Opcode::Stxr:
+                    reg(inst.rs);
+                    break;
+                  case Opcode::Msr:
+                    sysreg(inst.sysreg);
+                    if (inst.sysreg == Sysreg::ICC_SGI1R_EL1 ||
+                            inst.sysreg == Sysreg::ICC_EOIR1_EL1 ||
+                            inst.sysreg == Sysreg::ICC_DIR_EL1 ||
+                            inst.sysreg == Sysreg::ICC_PMR_EL1) {
+                        _gicLive = true;
+                    }
+                    break;
+                  default:
+                    break;
+                }
+                if (inst.isMemoryAccess() &&
+                        (inst.mode == isa::AddrMode::PostIndex ||
+                         inst.mode == isa::AddrMode::PreIndex)) {
+                    reg(inst.rn);
+                }
+            }
+        }
+        // Exception entry writes the syndrome, return and fault state.
+        if (!spec.handler.code.empty()) {
+            sysreg(Sysreg::ESR_EL1);
+            sysreg(Sysreg::ELR_EL1);
+            sysreg(Sysreg::SPSR_EL1);
+            sysreg(Sysreg::FAR_EL1);
+        }
+    }
 }
 
 void
 Machine::reset()
 {
-    _threads.assign(_test.threads.size(), ThreadState{});
-    _memory = _test.initValues;
-    _memVersion.assign(_test.locations.size(), 0);
-    _gic = gic::Gic(_test.threads.size());
-    for (std::size_t t = 0; t < _test.threads.size(); ++t) {
+    _threads.assign(_test->threads.size(), ThreadState{});
+    _memory = _test->initValues;
+    _memVersion.assign(_test->locations.size(), 0);
+    _gic = gic::Gic(_test->threads.size());
+    for (std::size_t t = 0; t < _test->threads.size(); ++t) {
         ThreadState &thread = _threads[t];
-        thread.regs = _test.threads[t].initRegs;
+        thread.regs = _test->threads[t].initRegs;
         thread.regSource.fill(-1);
-        thread.masked = _test.threads[t].initialMasked;
+        thread.masked = _test->threads[t].initialMasked;
     }
 }
 
@@ -162,7 +223,7 @@ bool
 Machine::interruptDeliverable(int tid) const
 {
     const ThreadState &thread = _threads[tid];
-    const LitmusThread &spec = _test.threads[tid];
+    const LitmusThread &spec = _test->threads[tid];
     if (thread.inHandler || thread.interruptsTaken > 0 ||
             thread.forgoInterrupt) {
         return false;
@@ -183,7 +244,7 @@ bool
 Machine::canIssue(int tid) const
 {
     const ThreadState &thread = _threads[tid];
-    const LitmusThread &spec = _test.threads[tid];
+    const LitmusThread &spec = _test->threads[tid];
     if (thread.finished)
         return false;
     if (inFlightCount(thread) >= _profile.windowSize)
@@ -257,7 +318,7 @@ Machine::canIssue(int tid) const
         else if (inst.mode == isa::AddrMode::BaseImm ||
                  inst.mode == isa::AddrMode::PreIndex)
             address += static_cast<std::uint64_t>(inst.imm);
-        if (!addressToLocation(address, _test.locations.size()))
+        if (!addressToLocation(address, _test->locations.size()))
             return inFlightCount(thread) == 0;
         return true;
       }
@@ -274,7 +335,7 @@ Machine::canIssue(int tid) const
         else if (inst.mode == isa::AddrMode::BaseImm ||
                  inst.mode == isa::AddrMode::PreIndex)
             address += static_cast<std::uint64_t>(inst.imm);
-        if (!addressToLocation(address, _test.locations.size()))
+        if (!addressToLocation(address, _test->locations.size()))
             return inFlightCount(thread) == 0;
         return true;
       }
@@ -400,10 +461,10 @@ Machine::canCommit(int tid, int op_index) const
     return true;
 }
 
-std::vector<Machine::Transition>
-Machine::enabled() const
+void
+Machine::enabled(std::vector<Transition> &out) const
 {
-    std::vector<Transition> out;
+    out.clear();
     for (int t = 0; t < static_cast<int>(_threads.size()); ++t) {
         const ThreadState &thread = _threads[static_cast<std::size_t>(t)];
         if (canIssue(t))
@@ -419,13 +480,12 @@ Machine::enabled() const
             // Only SGIs may be forgone (the scheduler models delivery
             // that arrives after the program completes); an explicit
             // "interrupt at" is mandatory.
-            if (!_test.threads[static_cast<std::size_t>(t)].interruptAt &&
+            if (!_test->threads[static_cast<std::size_t>(t)].interruptAt &&
                     thread.finished) {
                 out.push_back({Transition::Kind::ForgoInterrupt, t, -1});
             }
         }
     }
-    return out;
 }
 
 void
@@ -445,8 +505,8 @@ void
 Machine::takeFault(int tid, std::uint64_t address)
 {
     ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
-    if (_test.threads[static_cast<std::size_t>(tid)].handler.code.empty())
-        fatal("operational: fault with no handler in " + _test.name);
+    if (_test->threads[static_cast<std::size_t>(tid)].handler.code.empty())
+        fatal("operational: fault with no handler in " + _test->name);
     thread.sysregs[sysregIndex(Sysreg::ESR_EL1)] = sem::syndromeFor(
         ExceptionClass::DataAbortTranslation, 0);
     thread.sysregs[sysregIndex(Sysreg::FAR_EL1)] = address;
@@ -458,8 +518,8 @@ void
 Machine::takeInterrupt(int tid)
 {
     ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
-    if (_test.threads[static_cast<std::size_t>(tid)].handler.code.empty())
-        fatal("operational: interrupt with no handler in " + _test.name);
+    if (_test->threads[static_cast<std::size_t>(tid)].handler.code.empty())
+        fatal("operational: interrupt with no handler in " + _test->name);
     ++thread.interruptsTaken;
     enterHandler(thread, thread.pc);
 }
@@ -468,7 +528,7 @@ void
 Machine::issue(int tid)
 {
     ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
-    const LitmusThread &spec = _test.threads[static_cast<std::size_t>(tid)];
+    const LitmusThread &spec = _test->threads[static_cast<std::size_t>(tid)];
     const isa::Program &prog = thread.inHandler ? spec.handler
                                                 : spec.program;
     std::size_t idx = thread.inHandler ? thread.handlerPc : thread.pc;
@@ -593,7 +653,7 @@ Machine::issue(int tid)
         rexAssert(!thread.inHandler,
                   "operational: SVC inside handler unsupported");
         if (spec.handler.code.empty())
-            fatal("operational: SVC with no handler in " + _test.name);
+            fatal("operational: SVC with no handler in " + _test->name);
         thread.sysregs[sysregIndex(Sysreg::ESR_EL1)] =
             sem::syndromeFor(ExceptionClass::Svc, 0);
         enterHandler(thread, thread.pc + 1);
@@ -605,7 +665,7 @@ Machine::issue(int tid)
         std::uint64_t target =
             thread.sysregs[sysregIndex(Sysreg::ELR_EL1)];
         if (target > spec.program.code.size())
-            fatal("operational: ERET to bad address in " + _test.name);
+            fatal("operational: ERET to bad address in " + _test->name);
         thread.inHandler = false;
         thread.pc = static_cast<std::size_t>(target);
         thread.masked = thread.savedMasked;
@@ -673,7 +733,7 @@ Machine::issue(int tid)
                  inst.mode == isa::AddrMode::PreIndex)
             address += static_cast<std::uint64_t>(inst.imm);
 
-        auto loc = addressToLocation(address, _test.locations.size());
+        auto loc = addressToLocation(address, _test->locations.size());
         if (!loc) {
             // Faulting access: no writeback (§3.4), handler entry.
             takeFault(tid, address);
@@ -849,7 +909,7 @@ Outcome
 Machine::outcome() const
 {
     Outcome out;
-    for (const CondAtom &atom : _test.finalCond.atoms) {
+    for (const CondAtom &atom : _test->finalCond.atoms) {
         if (atom.kind != CondAtom::Kind::Register)
             continue;
         const ThreadState &thread =
@@ -857,61 +917,116 @@ Machine::outcome() const
         out.values[std::to_string(atom.tid) + ":" +
                    isa::regName(atom.reg)] = thread.regs[atom.reg];
     }
-    for (LocationId loc = 0; loc < _test.locations.size(); ++loc)
-        out.values["*" + _test.locations[loc]] = _memory[loc];
+    for (LocationId loc = 0; loc < _test->locations.size(); ++loc)
+        out.values["*" + _test->locations[loc]] = _memory[loc];
     return out;
 }
 
-std::string
-Machine::stateKey() const
+void
+Machine::stateKey(std::string &out) const
 {
-    std::string key;
-    auto u64 = [&](std::uint64_t v) {
-        key.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    // Size the buffer for the largest key once, then write each block
+    // through a raw cursor. Variable-length parts are preceded by their
+    // length, so the encoding is injective.
+    constexpr std::size_t kThreadBytes = 8 * sizeof(std::uint64_t) +
+        isa::kNumRegs * (sizeof(std::uint64_t) + sizeof(std::int32_t)) +
+        isa::kNumSysregs * sizeof(std::uint64_t);
+    constexpr std::size_t kOpBytes = 2 * sizeof(std::uint64_t);
+    std::size_t bound = 2 * _memory.size() * sizeof(std::uint64_t);
+    for (const ThreadState &thread : _threads)
+        bound += kThreadBytes + thread.ops.size() * kOpBytes;
+    if (_gicLive) {
+        for (std::size_t pe = 0; pe < _gic.numPes(); ++pe) {
+            bound += gic::kNumSgis + 3 * sizeof(std::uint32_t) +
+                _gic.redistributor(pe).priorityStack().size();
+        }
+    }
+    out.resize(bound);
+    char *cursor = out.data();
+    auto put = [&cursor](const void *data, std::size_t bytes) {
+        if (bytes > 0)  // data may be null for an empty vector
+            std::memcpy(cursor, data, bytes);
+        cursor += bytes;
     };
-    for (const ThreadState &thread : _threads) {
-        u64(thread.pc);
-        u64(thread.handlerPc);
-        key += static_cast<char>(
-            (thread.inHandler << 0) | (thread.finished << 1) |
-            (thread.masked << 2) | (thread.savedMasked << 3) |
-            (thread.forgoInterrupt << 4));
-        key += static_cast<char>(thread.interruptsTaken);
-        u64(static_cast<std::uint64_t>(thread.cmpLhs));
-        u64(static_cast<std::uint64_t>(thread.cmpRhs));
-        for (std::size_t r = 0; r < isa::kNumRegs; ++r) {
-            u64(thread.regs[r]);
-            key += static_cast<char>(thread.regSource[r] & 0xFF);
+
+    for (std::size_t t = 0; t < _threads.size(); ++t) {
+        const ThreadState &thread = _threads[t];
+        const KeyMask mask = _keyMasks[t];
+
+        const std::uint64_t flags =
+            (std::uint64_t{thread.inHandler} << 0) |
+            (std::uint64_t{thread.finished} << 1) |
+            (std::uint64_t{thread.masked} << 2) |
+            (std::uint64_t{thread.savedMasked} << 3) |
+            (std::uint64_t{thread.forgoInterrupt} << 4) |
+            (std::uint64_t{thread.monitor.has_value()} << 5) |
+            (static_cast<std::uint64_t>(
+                 static_cast<std::uint32_t>(thread.interruptsTaken)) << 8);
+        const std::uint64_t scalars[] = {
+            thread.pc,
+            thread.handlerPc,
+            static_cast<std::uint64_t>(thread.cmpLhs),
+            static_cast<std::uint64_t>(thread.cmpRhs),
+            flags,
+            thread.monitor ? thread.monitor->first : 0,
+            thread.monitor ? thread.monitor->second : 0,
+            thread.ops.size(),
+        };
+        put(scalars, sizeof(scalars));
+
+        // Registers and sysregs the thread can write; the rest keep
+        // their initial values in every reachable state.
+        for (std::uint32_t m = mask.regs; m; m &= m - 1) {
+            const int r = std::countr_zero(m);
+            const std::int32_t source = thread.regSource[r];
+            put(&thread.regs[r], sizeof(std::uint64_t));
+            put(&source, sizeof(source));
         }
-        for (std::uint64_t sr : thread.sysregs)
-            u64(sr);
-        if (thread.monitor) {
-            u64(thread.monitor->first);
-            u64(thread.monitor->second);
-        } else {
-            key += 'n';
-        }
-        u64(thread.ops.size());
+        for (std::uint32_t m = mask.sysregs; m; m &= m - 1)
+            put(&thread.sysregs[std::countr_zero(m)], sizeof(std::uint64_t));
+
+        // One word of op attributes, each field in its own bits (the
+        // three kinds take two), then one value: a load never sets
+        // storeValue and a store never sets loadedValue (both stay 0).
         for (const InFlightOp &op : thread.ops) {
-            key += static_cast<char>(op.kind);
-            key += op.done ? '1' : '0';
-            u64(op.loc);
-            u64(op.storeValue);
-            u64(op.loadedValue);
+            const std::uint64_t record[] = {
+                static_cast<std::uint64_t>(op.kind) |
+                    (std::uint64_t{op.done} << 2) |
+                    (std::uint64_t{op.acquire} << 3) |
+                    (std::uint64_t{op.acquirePc} << 4) |
+                    (std::uint64_t{op.release} << 5) |
+                    (std::uint64_t{op.exclusive} << 6) |
+                    (static_cast<std::uint64_t>(op.barrier) << 8) |
+                    (std::uint64_t{op.destReg} << 16) |
+                    (std::uint64_t{op.statusReg} << 24) |
+                    (std::uint64_t{op.loc} << 32),
+                op.kind == InFlightOp::Kind::Store ? op.storeValue
+                                                   : op.loadedValue,
+            };
+            put(record, sizeof(record));
         }
-        key += '|';
     }
-    for (std::uint64_t v : _memory)
-        u64(v);
-    for (std::uint64_t v : _memVersion)
-        u64(v);
-    for (std::size_t pe = 0; pe < _gic.numPes(); ++pe) {
-        const gic::Redistributor &redist = _gic.redistributor(pe);
-        for (std::uint32_t intid = 0; intid < 16; ++intid)
-            key += static_cast<char>(redist.state(intid));
-        key += static_cast<char>(redist.runningPriority());
+    put(_memory.data(), _memory.size() * sizeof(std::uint64_t));
+    put(_memVersion.data(), _memVersion.size() * sizeof(std::uint64_t));
+
+    // GIC state changes only through the GIC system registers.
+    if (_gicLive) {
+        for (std::size_t pe = 0; pe < _gic.numPes(); ++pe) {
+            const gic::Redistributor &redist = _gic.redistributor(pe);
+            const std::array<gic::IntState, gic::kNumSgis> states =
+                redist.sgiStates();
+            const std::vector<std::uint8_t> &drops = redist.priorityStack();
+            const std::uint32_t priorities[] = {
+                redist.priorityMask(),
+                redist.runningPriority(),
+                static_cast<std::uint32_t>(drops.size()),
+            };
+            put(states.data(), sizeof(states));
+            put(priorities, sizeof(priorities));
+            put(drops.data(), drops.size());
+        }
     }
-    return key;
+    out.resize(static_cast<std::size_t>(cursor - out.data()));
 }
 
 } // namespace rex::op

@@ -81,8 +81,9 @@ class Machine
     /** Reset to the initial state. */
     void reset();
 
-    /** All transitions enabled in the current state. */
-    std::vector<Transition> enabled() const;
+    /** Replace the contents of @p out with all transitions enabled in
+     *  the current state (the caller's vector keeps its capacity). */
+    void enabled(std::vector<Transition> &out) const;
 
     /** Apply one (enabled) transition. */
     void apply(const Transition &transition);
@@ -94,10 +95,15 @@ class Machine
     Outcome outcome() const;
 
     /**
-     * A canonical serialisation of the state, for memoisation in
-     * exhaustive exploration.
+     * Write a canonical byte encoding of the state into @p out (cleared
+     * first), for memoisation in exhaustive exploration. Two states
+     * reachable from the same initial state are equal exactly when
+     * their keys are equal. The key leaves out every register and
+     * sysreg the thread's code can never write, and the whole GIC when
+     * no thread touches it: those fields are constant across all
+     * reachable states (see docs/OPERATIONAL.md).
      */
-    std::string stateKey() const;
+    void stateKey(std::string &out) const;
 
   private:
     /** One in-flight memory operation. */
@@ -167,8 +173,23 @@ class Machine
     int forwardingSource(const ThreadState &thread, int op_index,
                          LocationId loc) const;
 
-    const LitmusTest &_test;
+    /** The per-thread fields stateKey() records: bit r of regs is set
+     *  when the thread's program or handler can write register r, bit
+     *  s of sysregs likewise for sysreg s. */
+    struct KeyMask {
+        std::uint32_t regs = 0;
+        std::uint32_t sysregs = 0;
+    };
+
+    void computeKeyMasks();
+
+    /** A pointer, not a reference, so that machines copy-assign. */
+    const LitmusTest *_test;
     CoreProfile _profile;
+
+    std::vector<KeyMask> _keyMasks;
+    /** Does some thread's code read or write GIC state? */
+    bool _gicLive = false;
 
     std::vector<ThreadState> _threads;
     std::vector<std::uint64_t> _memory;

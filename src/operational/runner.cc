@@ -33,11 +33,12 @@ Runner::run(const LitmusTest &test, std::uint64_t runs)
 {
     RunStats stats;
     Machine machine(test, _profile);
+    std::vector<Machine::Transition> transitions;
     for (std::uint64_t r = 0; r < runs; ++r) {
         machine.reset();
         std::uint64_t steps = 0;
         while (!machine.done()) {
-            auto transitions = machine.enabled();
+            machine.enabled(transitions);
             if (transitions.empty()) {
                 fatal("operational machine stuck in test " + test.name);
             }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "gic/cpu_interface.hh"
 #include "gic/gic.hh"
 #include "sem/exception.hh"
@@ -34,6 +36,9 @@ TEST(GicAutomaton, InactivePendActiveDeactivateCycle)
     EXPECT_EQ(redist.acknowledge(), 5u);
     EXPECT_EQ(redist.state(5), IntState::Active);
     EXPECT_FALSE(redist.irqPending());
+    std::array<IntState, gic::kNumSgis> sgis{};
+    sgis[5] = IntState::Active;
+    EXPECT_EQ(redist.sgiStates(), sgis);
 
     // target deactivates -> Inactive.
     redist.deactivate(5);

@@ -20,12 +20,30 @@ using op::Machine;
 
 using Kind = Machine::Transition::Kind;
 
+/** All transitions enabled in the machine's current state. */
+std::vector<Machine::Transition>
+enabled(const Machine &machine)
+{
+    std::vector<Machine::Transition> out;
+    machine.enabled(out);
+    return out;
+}
+
+/** The machine's current state key. */
+std::string
+keyOf(const Machine &machine)
+{
+    std::string key;
+    machine.stateKey(key);
+    return key;
+}
+
 /** Transitions of a given kind for a given thread. */
 std::vector<Machine::Transition>
 of(const Machine &machine, Kind kind, int thread)
 {
     std::vector<Machine::Transition> out;
-    for (const auto &t : machine.enabled()) {
+    for (const auto &t : enabled(machine)) {
         if (t.kind == kind && t.thread == thread)
             out.push_back(t);
     }
@@ -48,7 +66,7 @@ drain(Machine &machine)
 {
     int guard = 0;
     while (!machine.done()) {
-        auto ts = machine.enabled();
+        auto ts = enabled(machine);
         ASSERT_FALSE(ts.empty());
         // Prefer forgoing stray interrupts so the run terminates.
         auto forgo = std::find_if(ts.begin(), ts.end(), [](auto &t) {
@@ -71,7 +89,7 @@ TEST(MachineTest, IssueSatisfyCommitFlow)
     Machine machine(test, CoreProfile::maxRelaxed());
 
     // Nothing in flight: only Issue is enabled.
-    auto ts = machine.enabled();
+    auto ts = enabled(machine);
     ASSERT_EQ(ts.size(), 1u);
     EXPECT_EQ(ts[0].kind, Kind::Issue);
 
@@ -233,7 +251,7 @@ TEST(MachineTest, MandatoryInterruptBlocksIssue)
         "allowed: 0:X3=1\n");
     Machine machine(test, CoreProfile::cortexA53());
     // Only TakeInterrupt is enabled at the pinned point.
-    auto ts = machine.enabled();
+    auto ts = enabled(machine);
     ASSERT_EQ(ts.size(), 1u);
     EXPECT_EQ(ts[0].kind, Kind::TakeInterrupt);
     machine.apply(ts[0]);
@@ -274,15 +292,36 @@ TEST(MachineTest, StateKeyDistinguishesStates)
         "    STR X2,[X1]\n"
         "allowed: *x=1\n");
     Machine machine(test, CoreProfile::cortexA53());
-    std::string k0 = machine.stateKey();
+    std::string k0 = keyOf(machine);
     applyOne(machine, Kind::Issue, 0);
-    std::string k1 = machine.stateKey();
+    std::string k1 = keyOf(machine);
     applyOne(machine, Kind::Commit, 0);
-    std::string k2 = machine.stateKey();
+    std::string k2 = keyOf(machine);
     EXPECT_NE(k0, k1);
     EXPECT_NE(k1, k2);
     machine.reset();
-    EXPECT_EQ(machine.stateKey(), k0);
+    EXPECT_EQ(keyOf(machine), k0);
+}
+
+TEST(MachineTest, StateKeyRecordsPriorityMask)
+{
+    // PMR 16 masks default-priority (0xA0) SGIs and PMR 240 does not,
+    // so states that differ only in the mask have different futures
+    // and must not share a key.
+    auto run = [](const char *pmr) {
+        LitmusTest test = parseLitmus(
+            std::string("name: t\n"
+                        "init: 0:X1=") + pmr + "\n"
+            "thread 0:\n"
+            "    MSR ICC_PMR_EL1,X1\n"
+            "    MOV X1,#0\n"
+            "allowed: 0:X1=0\n");
+        Machine machine(test, CoreProfile::cortexA53());
+        applyOne(machine, Kind::Issue, 0);
+        applyOne(machine, Kind::Issue, 0);
+        return keyOf(machine);
+    };
+    EXPECT_NE(run("16"), run("240"));
 }
 
 TEST(MachineTest, ReleaseWaitsForAllEarlierAccesses)

@@ -14,11 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <span>
 
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
 #include "axiomatic/model.hh"
+#include "base/strings.hh"
+#include "gen/generator.hh"
+#include "gen/hammer.hh"
+#include "litmus/parser.hh"
 #include "litmus/registry.hh"
 #include "operational/explorer.hh"
 #include "operational/runner.hh"
@@ -229,6 +235,173 @@ TEST(RunnerTest, NeverObservesForbidden)
     Runner runner(CoreProfile::maxRelaxed(), 3);
     RunStats stats = runner.run(test, 2000);
     EXPECT_EQ(stats.observed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Golden exploration table: state counts, truncation and outcome sets.
+// The checked-in table was recorded from the machine before its state
+// key was made compact. A merged or split state, or a changed DFS order
+// under truncation, shows up here.
+// ---------------------------------------------------------------------
+
+struct GoldenBuiltin {
+    const char *test;
+    const char *profile;
+    std::size_t states;
+    bool truncated;
+    bool conditionReachable;
+    std::size_t outcomes;
+    std::uint64_t outcomeHash;
+};
+
+struct GoldenSeed {
+    std::uint64_t seed;
+    std::size_t states;
+    bool truncated;
+    bool conditionReachable;
+    std::size_t outcomes;
+    std::uint64_t outcomeHash;
+};
+
+#include "explore_golden.inc"
+
+constexpr std::size_t kGoldenCap = 400000;
+constexpr std::size_t kGoldenTruncatedCap = 100;
+
+/** FNV-1a over the outcome keys in set order, each ended by 0xFF. */
+std::uint64_t
+outcomeSetHash(const std::set<std::string> &outcomes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto byte = [&h](unsigned char c) {
+        h ^= c;
+        h *= 1099511628211ull;
+    };
+    for (const std::string &key : outcomes) {
+        for (char c : key)
+            byte(static_cast<unsigned char>(c));
+        byte(0xFF);
+    }
+    return h;
+}
+
+/** The row fields after the test or seed, as they appear in the table. */
+std::string
+rowFields(const ExploreResult &r)
+{
+    return format("%zu, %d, %d, %zu, 0x%016llx", r.statesVisited,
+                  r.truncated ? 1 : 0, r.conditionReachable ? 1 : 0,
+                  r.outcomes.size(),
+                  static_cast<unsigned long long>(
+                      outcomeSetHash(r.outcomes)));
+}
+
+template <typename Row>
+std::string
+rowFields(const Row &row)
+{
+    return format("%zu, %d, %d, %zu, 0x%016llx", row.states,
+                  row.truncated ? 1 : 0, row.conditionReachable ? 1 : 0,
+                  row.outcomes,
+                  static_cast<unsigned long long>(row.outcomeHash));
+}
+
+/** Explore rexgen random seed @p seed as the hammer does. */
+ExploreResult
+exploreGenerated(std::uint64_t seed)
+{
+    const gen::HammerConfig config;
+    return explore(parseLitmus(gen::generate(seed, config.gen).source),
+                   CoreProfile::maxRelaxed(), config.maxStates);
+}
+
+void
+expectBuiltinRows(std::span<const GoldenBuiltin> rows, std::size_t cap)
+{
+    for (const GoldenBuiltin &row : rows) {
+        ExploreResult r = explore(TestRegistry::instance().get(row.test),
+                                  CoreProfile::byName(row.profile), cap);
+        EXPECT_EQ(rowFields(r), rowFields(row))
+            << row.test << " on " << row.profile << " at cap " << cap;
+    }
+}
+
+TEST(GoldenExplore, BuiltinsOnEveryProfile)
+{
+    // Every builtin on each paper device and maxRelaxed.
+    EXPECT_EQ(std::size(kGoldenBuiltins),
+              TestRegistry::instance().all().size() *
+                  (CoreProfile::paperDevices().size() + 1));
+    expectBuiltinRows(kGoldenBuiltins, kGoldenCap);
+}
+
+TEST(GoldenExplore, TruncatedBuiltins)
+{
+    EXPECT_EQ(std::size(kGoldenTruncated),
+              TestRegistry::instance().all().size());
+    expectBuiltinRows(kGoldenTruncated, kGoldenTruncatedCap);
+}
+
+TEST(GoldenExplore, GeneratedSeeds)
+{
+    for (const GoldenSeed &row : kGoldenSeeds) {
+        EXPECT_EQ(rowFields(exploreGenerated(row.seed)), rowFields(row))
+            << "seed " << row.seed;
+    }
+}
+
+/** Print explore_golden.inc for the current machine. */
+TEST(GoldenExplore, DISABLED_PrintTable)
+{
+    auto line = [](const std::string &head, const std::string &fields) {
+        std::string row = "    {" + head + ", " + fields + "},";
+        if (row.size() > 80)
+            row = "    {" + head + ",\n     " + fields + "},";
+        std::printf("%s\n", row.c_str());
+    };
+    auto builtins = [&](const std::vector<CoreProfile> &profiles,
+                        std::size_t cap) {
+        for (const LitmusTest *test : TestRegistry::instance().all()) {
+            for (const CoreProfile &profile : profiles) {
+                line("\"" + test->name + "\", \"" + profile.name + "\"",
+                     rowFields(explore(*test, profile, cap)));
+            }
+        }
+    };
+    std::vector<CoreProfile> profiles = CoreProfile::paperDevices();
+    profiles.push_back(CoreProfile::maxRelaxed());
+
+    std::printf(
+        "// Golden op::explore results, written by "
+        "GoldenExplore.DISABLED_PrintTable\n"
+        "// in test_operational.cc. Regenerate only after a deliberate "
+        "change to\n"
+        "// the machine's semantics.\n"
+        "// Rows hold {test or seed, [profile,] statesVisited, truncated,\n"
+        "// conditionReachable, outcome count, outcome-set hash}.\n"
+        "\n"
+        "// Every builtin on the four paper devices and maxRelaxed, "
+        "cap %zu.\n"
+        "const GoldenBuiltin kGoldenBuiltins[] = {\n", kGoldenCap);
+    builtins(profiles, kGoldenCap);
+    std::printf(
+        "};\n"
+        "\n"
+        "// Every builtin on maxRelaxed at cap %zu: pins the DFS order "
+        "that\n"
+        "// decides which outcomes a truncated exploration has reached.\n"
+        "const GoldenBuiltin kGoldenTruncated[] = {\n",
+        kGoldenTruncatedCap);
+    builtins({CoreProfile::maxRelaxed()}, kGoldenTruncatedCap);
+    std::printf(
+        "};\n"
+        "\n"
+        "// rexgen random seeds 0-199 on maxRelaxed at the hammer's state "
+        "cap.\n"
+        "const GoldenSeed kGoldenSeeds[] = {\n");
+    for (std::uint64_t seed = 0; seed < 200; ++seed)
+        line(std::to_string(seed), rowFields(exploreGenerated(seed)));
+    std::printf("};\n");
 }
 
 } // namespace
