@@ -44,7 +44,7 @@ namespace {
 /**
  * Folds staged candidates into a CheckResult.
  *
- * One accumulator per (serial run | shard); the compiled program's
+ * One accumulator per (serial walk | shard); the compiled program's
  * per-combination fold is built lazily so verdict checks that never
  * reach the model (stop_at_first with a non-satisfying candidate, or
  * pre-filter rejection) pay nothing for it.
@@ -71,9 +71,9 @@ struct StagedAccumulator {
     std::size_t abortedUnknown = 0;
 
     /**
-     * Un-count the unresolved candidate. Only shard-range checks call
-     * this (their resume cursor must point at that candidate so the
-     * next piece re-visits it); whole-test paths keep the admitted
+     * Un-count the unresolved candidate. Only the prefix reading calls
+     * this (its resume cursor must point at that candidate so the next
+     * piece re-visits it); the whole-test reading keeps the admitted
      * count, which existing consumers expect.
      */
     void
@@ -185,348 +185,223 @@ mergeInto(CheckResult &into, CheckResult &&part)
         into.witness = std::move(*part.witness);
 }
 
-/** Serial staged check over an already-built enumerator. */
-CheckResult
-checkSerial(CandidateEnumerator &enumerator, const LitmusTest &test,
-            bool stop_at_first, bool capture_witness,
-            engine::Governor *governor, const catc::FoldPlan &plan)
+using Cursor = CandidateEnumerator::Cursor;
+using Shard = CandidateEnumerator::Shard;
+
+/** Record @p stage for crash attribution and the budget report. */
+void
+noteStage(engine::Governor *governor, const char *stage)
 {
-    engine::crashContextSetStage("enumerate");
+    engine::crashContextSetStage(stage);
     if (governor)
-        governor->noteStage("enumerate");
-    StagedAccumulator acc{test, stop_at_first, capture_witness, governor,
-                          plan};
-    enumerator.forEachStaged(
-        [&](CandidateExecution &cand,
-            const CandidateEnumerator::StagedInfo &info) {
-            return acc.consume(cand, info);
-        },
-        governor ? governor->token() : nullptr);
-    acc.result.observable = acc.result.witnesses > 0;
-    return std::move(acc.result);
+        governor->noteStage(stage);
 }
 
-/** Witness assignments per shard (checker.hh: shared with the range
- *  API, whose plans must address the same shards by the same index). */
-constexpr std::uint64_t kShardTarget = kCheckShardTarget;
+/** Can a check shard onto @p pool? Not from one of its own workers:
+ *  waiting there on the pool's futures would deadlock. */
+bool
+usable(const engine::ThreadPool *pool)
+{
+    return pool && pool->threadCount() > 1 &&
+           !engine::ThreadPool::onWorkerThread();
+}
+
+/** One check's fixed inputs, shared by both halves of the walk. */
+struct Walk {
+    const LitmusTest &test;
+    /** Compiled model's shared fold plan; alive for the whole check. */
+    const catc::FoldPlan &plan;
+    const CandidateEnumerator &enumerator;
+    engine::Governor *governor;  //!< may be null (unlimited)
+    bool stopAtFirst;
+    bool captureWitness;
+    /**
+     * Which reading the walk produces. The whole-test reading
+     * (checkTest) keeps every admitted candidate and merges every shard
+     * that ran, so a witness found after a trip still counts. The
+     * prefix reading (range pieces, which can mint a token) stops at
+     * the first candidate whose model run did not finish, un-counts it,
+     * and names it as the resume cursor.
+     */
+    bool prefix;
+
+    StagedAccumulator
+    accumulator() const
+    {
+        return {test, stopAtFirst, captureWitness, governor, plan};
+    }
+
+    const engine::CancelToken *
+    token() const
+    {
+        return governor ? governor->token() : nullptr;
+    }
+};
+
+/** What a walk produced. witnessed, completed and next describe the
+ *  prefix reading; the whole-test reading only needs the counts. */
+struct WalkOutcome {
+    CheckResult result;
+    bool witnessed = false;  //!< stopped at a witness (stop_at_first)
+    bool completed = false;  //!< every candidate before the end resolved
+    Cursor next{};           //!< first unresolved candidate otherwise
+};
 
 /**
- * Parallel staged check: plan shards in global enumeration order, run
- * them on the pool, merge in order.
+ * The serial half: one forEachStaged pass from @p start with one
+ * accumulator, stopping before shard @p end. It never builds a plan.
+ *
+ * The prefix reading does not hand the cancel token to the enumerator:
+ * every stop is then the accumulator's, at a visited candidate, so the
+ * cursor is that candidate's own position.
+ */
+WalkOutcome
+walkSerial(const Walk &walk, Cursor start, std::uint64_t end)
+{
+    noteStage(walk.governor, "enumerate");
+    StagedAccumulator acc = walk.accumulator();
+    WalkOutcome out;
+    bool stopped = false;
+    walk.enumerator.forEachStaged(
+        [&](CandidateExecution &cand,
+            const CandidateEnumerator::StagedInfo &info) {
+            if (info.shard >= end)
+                return false;
+            out.next = {info.shard, info.offset};
+            stopped = !acc.consume(cand, info);
+            return !stopped;
+        },
+        walk.prefix ? nullptr : walk.token(), start);
+    out.witnessed = walk.stopAtFirst && acc.result.witnesses > 0;
+    out.completed = !stopped;
+    if (walk.prefix && !out.witnessed && !out.completed)
+        acc.rollbackAborted();
+    out.result = std::move(acc.result);
+    return out;
+}
+
+/**
+ * The pooled half: run plan shards [start.shard, end) as visitShard
+ * tasks, entering the first at start.offset, and merge them in order.
  *
  * Determinism, including under stop_at_first: let w be the smallest
  * index of a shard that found a witness. Shards publish their index
  * into `cutoff` with a fetch-min when they find a witness, and only
  * shards *strictly above* the cutoff abort; since cutoff only ever
  * decreases down to w, every shard below w runs to completion. The
- * merge consumes shards 0..w (the w-th stopped at its witness) and
- * drops the rest — exactly the candidates the serial path visits.
+ * merge consumes shards up to w (the w-th stopped at its witness) and
+ * drops the rest — exactly the candidates the serial walk visits.
+ *
+ * For the prefix reading the cursor shard runs on the calling thread
+ * before the rest are submitted. A candidate ceiling is one count
+ * shared by every shard; were the cursor shard to race the others for
+ * it, they could spend all of it while the cursor shard is rolled
+ * back, and the piece would hand back its own starting cursor. Running
+ * it first means a piece always advances by min(ceiling, rest of the
+ * cursor shard) candidates, or by at least one shard.
  */
-CheckResult
-checkSharded(CandidateEnumerator &enumerator, const LitmusTest &test,
-             bool stop_at_first, bool capture_witness,
-             engine::ThreadPool &pool, engine::Governor *governor,
-             const catc::FoldPlan &plan)
+WalkOutcome
+walkPooled(const Walk &walk, engine::ThreadPool &pool,
+           const std::vector<Shard> &shards, Cursor start,
+           std::uint64_t end)
 {
-    engine::crashContextSetStage("plan");
-    if (governor)
-        governor->noteStage("plan");
-    const std::vector<CandidateEnumerator::Shard> shards =
-        enumerator.planShards(kShardTarget,
-                              governor ? governor->token() : nullptr);
-    if (shards.size() <= 1) {
-        return checkSerial(enumerator, test, stop_at_first,
-                           capture_witness, governor, plan);
-    }
-
-    struct ShardOutcome {
+    noteStage(walk.governor, "enumerate");
+    const std::size_t count = static_cast<std::size_t>(end - start.shard);
+    struct Slot {
         CheckResult result;
         bool witnessed = false;  //!< stopped at a witness
         bool cancelled = false;  //!< aborted/skipped via the cutoff
+        bool completed = false;  //!< visited every candidate
+        std::uint64_t nextOffset = 0;  //!< prefix cursor when partial
     };
-    // Outcome slots are allocated by the shard tasks themselves, not
-    // eagerly: a CheckResult inlines a ~5 KB witness buffer, and a
-    // large test plans 10^5+ shards, so a by-value vector would fault
-    // in the better part of a gigabyte before any work starts — which
-    // on a budget trip (zero shards run) dominated the wall clock. A
-    // null slot after the drain means the shard was never submitted.
-    std::vector<std::unique_ptr<ShardOutcome>> outcomes(shards.size());
-    std::atomic<std::size_t> cutoff{shards.size()};
-
-    auto fetchMinCutoff = [&cutoff](std::size_t value) {
-        std::size_t seen = cutoff.load();
-        while (value < seen &&
-               !cutoff.compare_exchange_weak(seen, value)) {
-        }
-    };
-
-    engine::crashContextSetStage("enumerate");
-    if (governor)
-        governor->noteStage("enumerate");
-    std::vector<std::future<void>> futures;
-    futures.reserve(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        // A large test submits tens of thousands of shard tasks; once
-        // the budget trips there is no point queueing the rest (their
-        // startup poll would skip them anyway, but submission itself
-        // is not free at this fan-out). Unsubmitted shards merge as
-        // empty partial results.
-        if (governor && governor->tripped())
-            break;
-        futures.push_back(pool.submit([&, i] {
-            // Each task is the only writer of its slot, and the merge
-            // only reads after the drain barrier below.
-            outcomes[i] = std::make_unique<ShardOutcome>();
-            ShardOutcome &out = *outcomes[i];
-            if (stop_at_first && i > cutoff.load()) {
-                out.cancelled = true;  // a lower shard already witnessed
-                return;
-            }
-            StagedAccumulator acc{test, stop_at_first, capture_witness,
-                                  governor, plan};
-            const bool completed = enumerator.visitShard(
-                shards[i],
-                [&](CandidateExecution &cand,
-                    const CandidateEnumerator::StagedInfo &info) {
-                    if (stop_at_first && i > cutoff.load()) {
-                        out.cancelled = true;
-                        return false;
-                    }
-                    return acc.consume(cand, info);
-                },
-                governor ? governor->token() : nullptr);
-            // A shard stopped by a tripped budget is a partial shard,
-            // not a witnessing one: the distinction keeps a budget stop
-            // from being misread as an Allowed verdict.
-            if (!completed && !out.cancelled &&
-                    !(governor && governor->tripped())) {
-                out.witnessed = true;
-                if (stop_at_first)
-                    fetchMinCutoff(i);
-            }
-            out.result = std::move(acc.result);
-        }));
-    }
-    for (std::future<void> &future : futures)
-        future.get();
-    engine::crashContextSetStage("merge");
-    if (governor)
-        governor->noteStage("merge");
-
-    CheckResult merged;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        if (!outcomes[i])
-            break;  // unsubmitted suffix: the budget tripped first
-        ShardOutcome &out = *outcomes[i];
-        rexAssert(!out.cancelled || i > 0,
-                  "shard 0 cancelled without a predecessor witness");
-        if (out.cancelled)
-            break;  // everything at or after this index is post-witness
-        const bool witnessed = out.witnessed;
-        mergeInto(merged, std::move(out.result));
-        if (stop_at_first && witnessed)
-            break;
-    }
-    merged.observable = merged.witnesses > 0;
-    return merged;
-}
-
-/** Outcome of running one contiguous slice of a shard plan. */
-struct RangeRun {
-    CheckResult result;
-    bool witnessed = false;
-    bool completed = false;
-    std::uint64_t nextShard = 0;   //!< valid when neither of the above
-    std::uint64_t nextOffset = 0;
-};
-
-/**
- * Run shards [begin, end) serially, entering the first at @p offset
- * candidates past its start. Range checks are always stop_at_first and
- * witness-less (the verdict-serving configuration — anything else
- * would make resumed pieces diverge from uninterrupted runs).
- */
-RangeRun
-runRangeSerial(CandidateEnumerator &enumerator,
-               const std::vector<CandidateEnumerator::Shard> &shards,
-               std::uint64_t begin, std::uint64_t end,
-               std::uint64_t offset, const LitmusTest &test,
-               engine::Governor *governor, const catc::FoldPlan &plan)
-{
-    RangeRun run;
-    for (std::uint64_t i = begin; i < end; ++i) {
-        const std::uint64_t startOff = i == begin ? offset : 0;
-        if (governor && governor->tripped()) {
-            run.nextShard = i;
-            run.nextOffset = startOff;
-            return run;
-        }
-        CandidateEnumerator::Shard shard = shards[i];
-        rexAssert(startOff <= shard.end - shard.begin,
-                  "continuation offset outside its shard");
-        shard.begin += startOff;
-        if (shard.begin == shard.end)
-            continue;  // the cursor sat exactly on the shard boundary
-        StagedAccumulator acc{test, /*stopAtFirst=*/true,
-                              /*captureWitness=*/false, governor, plan};
-        const bool completed = enumerator.visitShard(
-            shard,
-            [&](CandidateExecution &cand,
-                const CandidateEnumerator::StagedInfo &info) {
-                return acc.consume(cand, info);
-            },
-            governor ? governor->token() : nullptr);
-        const bool witnessed = acc.result.witnesses > 0;
-        if (!completed && !witnessed) {
-            // The budget tripped inside the shard. Un-count an
-            // admitted-but-unresolved candidate so the cursor points
-            // at the first candidate the next piece must visit.
-            acc.rollbackAborted();
-            run.nextShard = i;
-            run.nextOffset = startOff + acc.result.candidates;
-            mergeInto(run.result, std::move(acc.result));
-            return run;
-        }
-        mergeInto(run.result, std::move(acc.result));
-        if (witnessed) {
-            run.witnessed = true;
-            return run;
-        }
-    }
-    run.completed = true;
-    run.nextShard = end;
-    return run;
-}
-
-/**
- * Pool-parallel variant of runRangeSerial: the checkSharded() merge
- * discipline (in-order, witness fetch-min cutoff) extended with a
- * per-shard completion flag and resume cursor, so a budget trip yields
- * the longest fully-resolved prefix plus the exact cursor after it.
- *
- * The shard under the cursor runs on the calling thread before the
- * rest are submitted. A candidate ceiling is one count shared by every
- * shard; were the cursor shard to race the others for it, they could
- * spend all of it while the cursor shard is rolled back, and the piece
- * would hand back its own starting cursor. Running it first means a
- * piece always advances by min(ceiling, rest of the cursor shard)
- * candidates, or by at least one shard.
- */
-RangeRun
-runRangePooled(CandidateEnumerator &enumerator,
-               const std::vector<CandidateEnumerator::Shard> &shards,
-               std::uint64_t begin, std::uint64_t end,
-               std::uint64_t offset, const LitmusTest &test,
-               engine::ThreadPool &pool, engine::Governor *governor,
-               const catc::FoldPlan &plan)
-{
-    const std::size_t count = static_cast<std::size_t>(end - begin);
-    struct Slot {
-        CheckResult result;
-        bool witnessed = false;
-        bool cancelled = false;
-        bool completed = false;
-        std::uint64_t nextOffset = 0;  //!< valid when partial
-    };
-    // Lazily allocated for the same reason as checkSharded's outcome
-    // slots: a null slot after the drain means "never submitted".
+    // Slots are allocated by the shard tasks themselves, not eagerly: a
+    // CheckResult inlines a ~5 KB witness buffer, and a large test
+    // plans 10^5+ shards, so a by-value vector would fault in the
+    // better part of a gigabyte before any work starts — which on a
+    // budget trip (zero shards run) dominated the wall clock. A null
+    // slot after the drain means the shard was never submitted.
     std::vector<std::unique_ptr<Slot>> slots(count);
     std::atomic<std::size_t> cutoff{count};
-    auto fetchMinCutoff = [&cutoff](std::size_t value) {
-        std::size_t seen = cutoff.load();
-        while (value < seen &&
-               !cutoff.compare_exchange_weak(seen, value)) {
-        }
+    auto cutOff = [&](std::size_t i) {
+        return walk.stopAtFirst && i > cutoff.load();
     };
 
     auto runSlot = [&](std::size_t i) {
+        // Each task is the only writer of its slot, and the merge only
+        // reads after the drain barrier below.
         slots[i] = std::make_unique<Slot>();
         Slot &slot = *slots[i];
-        if (i > cutoff.load()) {
-            slot.cancelled = true;
+        if (cutOff(i)) {
+            slot.cancelled = true;  // a lower shard already witnessed
             return;
         }
-        const std::uint64_t startOff = i == 0 ? offset : 0;
-        CandidateEnumerator::Shard shard = shards[begin + i];
-        rexAssert(startOff <= shard.end - shard.begin,
-                  "continuation offset outside its shard");
-        shard.begin += startOff;
-        if (shard.begin == shard.end) {
-            slot.completed = true;
-            return;
-        }
-        StagedAccumulator acc{test, /*stopAtFirst=*/true,
-                              /*captureWitness=*/false, governor, plan};
-        const bool completed = enumerator.visitShard(
+        Shard shard = shards[start.shard + i];
+        const std::uint64_t skip = i == 0 ? start.offset : 0;
+        shard.begin += skip;
+        StagedAccumulator acc = walk.accumulator();
+        slot.completed = walk.enumerator.visitShard(
             shard,
             [&](CandidateExecution &cand,
                 const CandidateEnumerator::StagedInfo &info) {
-                if (i > cutoff.load()) {
+                if (cutOff(i)) {
                     slot.cancelled = true;
                     return false;
                 }
                 return acc.consume(cand, info);
             },
-            governor ? governor->token() : nullptr);
-        slot.completed = completed;
-        slot.witnessed = acc.result.witnesses > 0;
-        if (slot.witnessed)
-            fetchMinCutoff(i);
-        if (!completed && !slot.witnessed && !slot.cancelled) {
+            walk.token());
+        slot.witnessed = walk.stopAtFirst && acc.result.witnesses > 0;
+        if (slot.witnessed) {
+            std::size_t seen = cutoff.load();
+            while (i < seen && !cutoff.compare_exchange_weak(seen, i)) {
+            }
+        }
+        if (walk.prefix && !slot.completed && !slot.witnessed &&
+                !slot.cancelled) {
             acc.rollbackAborted();
-            slot.nextOffset = startOff + acc.result.candidates;
+            slot.nextOffset = skip + acc.result.candidates;
         }
         slot.result = std::move(acc.result);
     };
 
-    runSlot(0);
+    std::size_t first = 0;
+    if (walk.prefix)
+        runSlot(first++);
     std::vector<std::future<void>> futures;
-    futures.reserve(count - 1);
-    for (std::size_t i = 1; i < count; ++i) {
-        // Past a trip or a witness below i, the shard would only merge
-        // as skipped; leave it unsubmitted.
-        if ((governor && governor->tripped()) || i > cutoff.load())
+    futures.reserve(count - first);
+    for (std::size_t i = first; i < count; ++i) {
+        // A large test submits tens of thousands of shard tasks; past a
+        // trip or a witness below i a shard would only merge as
+        // skipped, so leave the rest unsubmitted.
+        if ((walk.governor && walk.governor->tripped()) || cutOff(i))
             break;
         futures.push_back(pool.submit([&runSlot, i] { runSlot(i); }));
     }
     for (std::future<void> &future : futures)
         future.get();
+    noteStage(walk.governor, "merge");
 
-    RangeRun run;
+    WalkOutcome out;
     std::size_t merged = 0;
     for (; merged < count; ++merged) {
-        if (!slots[merged])
-            break;  // unsubmitted suffix: the budget tripped first
+        if (!slots[merged] || slots[merged]->cancelled)
+            break;  // unsubmitted (budget) or post-witness suffix
         Slot &slot = *slots[merged];
-        rexAssert(!slot.cancelled || merged > 0,
-                  "first range shard cancelled without a witness below");
-        if (slot.cancelled)
-            break;
-        const bool witnessed = slot.witnessed;
-        const bool completed = slot.completed;
-        const std::uint64_t nextOffset = slot.nextOffset;
-        mergeInto(run.result, std::move(slot.result));
-        if (witnessed) {
-            run.witnessed = true;
-            return run;
+        mergeInto(out.result, std::move(slot.result));
+        if (slot.witnessed) {
+            out.witnessed = true;
+            return out;
         }
-        if (!completed) {
-            run.nextShard = begin + merged;
-            run.nextOffset = nextOffset;
-            return run;
+        if (walk.prefix && !slot.completed) {
+            out.next = {start.shard + merged, slot.nextOffset};
+            return out;
         }
     }
-    if (merged == count) {
-        run.completed = true;
-        run.nextShard = end;
-        return run;
-    }
-    // Unsubmitted or cancelled suffix without a witness at or below
-    // it: resume at the start of the first unmerged shard (never the
-    // cursor shard, which always runs and merges).
-    run.nextShard = begin + merged;
-    run.nextOffset = 0;
-    return run;
+    out.completed = merged == count;
+    // An unsubmitted or cancelled suffix without a witness at or below
+    // it resumes at the start of its first shard.
+    out.next = {start.shard + merged, 0};
+    return out;
 }
 
 } // namespace
@@ -541,20 +416,23 @@ checkTest(const LitmusTest &test, const ModelParams &params,
     // same plan. The shared_ptr outlives the shard tasks below.
     const std::shared_ptr<const catc::FoldPlan> plan =
         catc::planForCheck(params);
-    engine::crashContextSetStage("traces");
-    if (governor)
-        governor->noteStage("traces");
-    CandidateEnumerator enumerator(test,
-                                   governor ? governor->token() : nullptr);
-    CheckResult result;
-    if (pool && pool->threadCount() > 1 &&
-            !engine::ThreadPool::onWorkerThread()) {
-        result = checkSharded(enumerator, test, stop_at_first,
-                              capture_witness, *pool, governor, *plan);
-    } else {
-        result = checkSerial(enumerator, test, stop_at_first,
-                             capture_witness, governor, *plan);
+    noteStage(governor, "traces");
+    const CandidateEnumerator enumerator(
+        test, governor ? governor->token() : nullptr);
+    const Walk walk{test,          *plan,           enumerator, governor,
+                    stop_at_first, capture_witness, /*prefix=*/false};
+    WalkOutcome out;
+    std::vector<Shard> shards;
+    if (usable(pool)) {
+        noteStage(governor, "plan");
+        shards = enumerator.planShards(walk.token());
     }
+    if (shards.size() > 1)
+        out = walkPooled(walk, *pool, shards, {}, shards.size());
+    else
+        out = walkSerial(walk, {}, ~std::uint64_t(0));
+    CheckResult result = std::move(out.result);
+    result.observable = result.witnesses > 0;
     // A witness found under stop_at_first soundly settles Allowed even
     // when the budget tripped while other shards were still running;
     // everything else stopped by a trip is a partial (unsettled) result.
@@ -574,68 +452,67 @@ checkShardRange(const LitmusTest &test, const ModelParams &params,
     ShardRangeOutcome out;
     const std::shared_ptr<const catc::FoldPlan> plan =
         catc::planForCheck(params);
-    engine::crashContextSetStage("traces");
-    if (governor)
-        governor->noteStage("traces");
-    CandidateEnumerator enumerator(test,
-                                   governor ? governor->token() : nullptr);
+    noteStage(governor, "traces");
+    const CandidateEnumerator enumerator(
+        test, governor ? governor->token() : nullptr);
     if (governor && governor->tripped()) {
-        // Trace construction itself outran the budget: no plan exists,
-        // so there is no cursor to hand back (out.planned stays false
-        // and a caller holding an older cursor keeps it unchanged).
+        // Trace construction itself outran the budget: there is no
+        // cursor to hand back (out.planned stays false and a caller
+        // holding an older cursor keeps it unchanged).
         out.result.exhaustedAxis =
             engine::budgetAxisName(governor->trippedAxis());
         return out;
     }
-    engine::crashContextSetStage("plan");
-    if (governor)
-        governor->noteStage("plan");
-    // Unlike checkSharded, the plan ignores the cancel token: the
-    // continuation format addresses shards by index into the complete
-    // deterministic plan, so a trip must never truncate it.
-    const std::vector<CandidateEnumerator::Shard> shards =
-        enumerator.planShards(spec.planTarget, nullptr);
     out.planned = true;
-    out.planSize = shards.size();
+    const Walk walk{test,   *plan,  enumerator,      governor,
+                    /*stopAtFirst=*/true, /*captureWitness=*/false,
+                    /*prefix=*/true};
+    const Cursor start{spec.shardBegin, spec.inShardOffset};
+
+    // The plan ignores the cancel token: its size goes into tokens and
+    // its shards are what cursors index, so a trip must never truncate
+    // it. Only the pooled walk and a token's cursor check need it.
+    std::vector<Shard> shards;
+    if (usable(pool) || spec.issuedPlanSize) {
+        noteStage(governor, "plan");
+        shards = enumerator.planShards();
+        out.planSize = shards.size();
+        if (spec.issuedPlanSize &&
+                (*spec.issuedPlanSize != shards.size() ||
+                 start.shard >= shards.size() ||
+                 start.offset >= shards[start.shard].end -
+                                     shards[start.shard].begin)) {
+            out.cursorRefused = true;
+            return out;
+        }
+    }
     const std::uint64_t end =
-        std::min<std::uint64_t>(spec.shardEnd, shards.size());
-    const std::uint64_t begin =
-        std::min<std::uint64_t>(spec.shardBegin, end);
-    if (begin >= end) {
-        out.completed = true;
-        out.nextShard = end;
-        return out;
-    }
+        shards.empty() ? spec.shardEnd
+                       : std::min<std::uint64_t>(spec.shardEnd,
+                                                 shards.size());
+    WalkOutcome run;
+    if (start.shard >= end)
+        run.completed = true;
+    else if (usable(pool) && end - start.shard > 1)
+        run = walkPooled(walk, *pool, shards, start, end);
+    else
+        run = walkSerial(walk, start, end);
 
-    engine::crashContextSetStage("enumerate");
-    if (governor)
-        governor->noteStage("enumerate");
-
-    RangeRun total;
-    if (pool && pool->threadCount() > 1 &&
-            !engine::ThreadPool::onWorkerThread() && end - begin > 1) {
-        total = runRangePooled(enumerator, shards, begin, end,
-                               spec.inShardOffset, test, *pool, governor,
-                               *plan);
-    } else {
-        total = runRangeSerial(enumerator, shards, begin, end,
-                               spec.inShardOffset, test, governor, *plan);
-    }
-
-    engine::crashContextSetStage("merge");
-    if (governor)
-        governor->noteStage("merge");
-    out.result = std::move(total.result);
-    out.witnessed = total.witnessed;
-    out.completed = total.completed;
-    out.nextShard = total.nextShard;
-    out.nextOffset = total.nextOffset;
+    out.result = std::move(run.result);
+    out.completed = run.completed;
     out.result.observable = out.result.witnesses > 0;
-    if (!out.witnessed && !out.completed) {
+    if (!run.witnessed && !run.completed) {
+        out.nextShard = run.next.shard;
+        out.nextOffset = run.next.offset;
+        if (shards.empty())
+            out.planSize = enumerator.planShards().size();  // for the token
         out.result.exhaustedAxis = governor
             ? engine::budgetAxisName(governor->trippedAxis())
             : engine::budgetAxisName(engine::BudgetAxis::Cancelled);
     }
+    // Every range piece ends in its merge stage, serial or pooled: its
+    // counts are merged onto the token's prefix.
+    noteStage(governor, "merge");
     return out;
 }
 

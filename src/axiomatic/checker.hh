@@ -11,12 +11,18 @@
  * the retained pre-staging reference that the parity tests compare
  * against; both produce identical CheckResults.
  *
- * When a thread pool is supplied, a test's candidate space is split
- * into shards checked in parallel and merged deterministically in
- * enumeration order: counts, forbidding axiom/cycle, and the first
- * witness are identical to the serial path, including under
- * stop_at_first (shards past the earliest witnessing shard are
- * cancelled cooperatively and never merged).
+ * Every check is one walk over the staged candidates in enumeration
+ * order, with two halves chosen by whether a usable thread pool was
+ * supplied. The serial half is one forEachStaged() pass with one
+ * accumulator and never plans. The pooled half plans the candidate
+ * space into shards (CandidateEnumerator::planShards), checks them in
+ * parallel and merges them in order: counts, forbidding axiom/cycle,
+ * and the first witness are identical to the serial half, including
+ * under stop_at_first (shards past the earliest witnessing shard are
+ * cancelled cooperatively and never merged). checkTest() walks from
+ * the first candidate and keeps every admitted one; checkShardRange()
+ * walks from a plan cursor and reads the resolved prefix, which is what
+ * continuation tokens resume.
  */
 
 #ifndef REX_AXIOMATIC_CHECKER_HH
@@ -110,25 +116,14 @@ CheckResult checkTest(const LitmusTest &test, const ModelParams &params,
                       engine::ThreadPool *pool = nullptr,
                       engine::Governor *governor = nullptr);
 
-/** Witness assignments per shard in the deterministic check plan:
- *  large enough to amortise the per-shard program fold, small
- *  enough to split tiny tests. Continuation tokens address shards by
- *  index into a plan built with exactly this target, so it is part of
- *  the continuation fingerprint. */
-inline constexpr std::uint64_t kCheckShardTarget = 256;
-
 /**
- * A shard-granular slice of a staged check — the unit behind
- * continuation tokens: run shards
- * [shardBegin, shardEnd) of the deterministic kCheckShardTarget-style
- * plan, entering the first shard @p inShardOffset candidates past its
- * start. Range checks are always stop_at_first and witness-less (the
- * verdict-serving configuration).
+ * A slice of a staged check's plan (CandidateEnumerator::planShards):
+ * the unit behind continuation tokens. Runs shards
+ * [shardBegin, shardEnd), entering the first one @p inShardOffset
+ * candidates past its start. Range checks are always stop_at_first and
+ * witness-less (the verdict-serving configuration).
  */
 struct ShardRangeSpec {
-    /** Witness assignments per shard the plan is built with. */
-    std::uint64_t planTarget = kCheckShardTarget;
-
     /** First shard to run. */
     std::uint64_t shardBegin = 0;
 
@@ -138,29 +133,38 @@ struct ShardRangeSpec {
     /** Candidates into the first shard already consumed by an earlier
      *  piece of the same check. */
     std::uint64_t inShardOffset = 0;
+
+    /** Set when the cursor comes from a continuation token: the plan
+     *  size the token was issued against. The cursor and this size are
+     *  then checked against the re-derived plan before anything runs. */
+    std::optional<std::uint64_t> issuedPlanSize;
 };
 
 /** What a range check produced, plus the cursor to resume from. */
 struct ShardRangeOutcome {
     /** Merged counts over the contiguous range prefix that was fully
-     *  resolved (exhaustedAxis set exactly like checkTest()). */
+     *  resolved (exhaustedAxis set when it stopped short). */
     CheckResult result;
 
-    /** Traces + plan were built. False only when the budget tripped
-     *  during trace construction — then no cursor exists at all. */
+    /** Traces were built. False only when the budget tripped during
+     *  trace construction — then no cursor exists at all. */
     bool planned = false;
 
-    /** Total shards in the full plan (valid when planned). */
-    std::uint64_t planSize = 0;
+    /** The spec's issued plan size or cursor does not fit the
+     *  re-derived plan: nothing ran. */
+    bool cursorRefused = false;
 
-    /** A witness settled the range: the verdict is Allowed. */
-    bool witnessed = false;
+    /** Total shards in the full plan. Set when the check needed the
+     *  plan: a pooled walk, a token's cursor to check, or a resume
+     *  cursor to hand back; 0 otherwise. */
+    std::uint64_t planSize = 0;
 
     /** The whole requested range merged without a witness. */
     bool completed = false;
 
-    /** Resume cursor when neither witnessed nor completed: the first
-     *  shard (and candidate offset within it) not yet resolved. */
+    /** Resume cursor when the range stopped short of both a witness
+     *  and its end: the first shard (and candidate offset within it)
+     *  not yet resolved. */
     std::uint64_t nextShard = 0;
     std::uint64_t nextOffset = 0;
 };
@@ -168,14 +172,16 @@ struct ShardRangeOutcome {
 /**
  * Check a contiguous range of @p test's shard plan under @p params.
  *
- * The plan is re-derived deterministically (never truncated by a
- * budget trip, unlike checkTest's sharded path), so equal
- * (test, planTarget) pairs agree on what "shard i" means across
- * processes and machines. Resumed-in-pieces runs merge to results
- * byte-identical to a single uninterrupted run at any split point: the
- * returned cursor always points at the first candidate whose model
- * evaluation did not finish (an admitted candidate aborted mid-clause
- * is rolled back out of the counts and re-visited by the next piece).
+ * The same walk as checkTest(), started at the spec's cursor and read
+ * as a prefix: the result covers exactly the candidates before the
+ * returned cursor, which always points at the first candidate whose
+ * model evaluation did not finish (an admitted candidate aborted
+ * mid-clause is rolled back out of the counts and re-visited by the
+ * next piece). Resumed-in-pieces runs therefore merge to results
+ * byte-identical to a single uninterrupted run at any split point. The
+ * plan is a pure function of the test and is never truncated by a
+ * budget trip, so equal tests agree on what "shard i" means across
+ * processes and machines.
  *
  * @param pool     as checkTest(): shard-level parallelism within the
  *                 range; the merged result is identical to serial.

@@ -1,7 +1,6 @@
 #include "axiomatic/enumerate.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "base/logging.hh"
 #include "engine/governor.hh"
@@ -101,11 +100,12 @@ factorial(std::size_t n)
     return f;
 }
 
-bool
-envFlag(const char *name)
+/** Shards the check plan cuts a @p total-assignment witness space
+ *  into. */
+std::uint64_t
+shardsIn(std::uint64_t total)
 {
-    const char *value = std::getenv(name);
-    return value && value[0] == '1' && value[1] == '\0';
+    return (total + kCheckShardTarget - 1) / kCheckShardTarget;
 }
 
 /**
@@ -551,20 +551,6 @@ ComboSpace::build(const LitmusTest &test,
         space.adj.resize(max_nodes);
 }
 
-/** REX_PREFILTER_CHECK=1: assert the pre-filter against the full
- *  internal-axiom cycle check. */
-void
-verifyPrefilter(const CandidateExecution &cand, bool coherent)
-{
-    Relation internal = cand.poLoc() | cand.fr() | cand.co | cand.rf;
-    const bool full = !internal.findCycle().has_value();
-    if (full != coherent) {
-        panic("coherence pre-filter disagrees with the full internal "
-              "check (pre-filter says " +
-              std::string(coherent ? "coherent" : "incoherent") + ")");
-    }
-}
-
 } // namespace
 
 std::size_t
@@ -592,12 +578,30 @@ CandidateEnumerator::comboAt(std::size_t index) const
 
 void
 CandidateEnumerator::forEachStaged(const StagedVisitor &visit,
-                                   const engine::CancelToken *cancel) const
+                                   const engine::CancelToken *cancel,
+                                   Cursor start) const
 {
-    const bool check_prefilter = envFlag("REX_PREFILTER_CHECK");
     const std::size_t combos = combinationCount();
     ComboSpace space;  // reused across combos (storage amortisation)
-    for (std::size_t ci = 0; ci < combos; ++ci) {
+    std::size_t ci = 0;
+    std::uint64_t firstShard = 0;  // plan index of combo ci's shard 0
+    std::uint64_t skip = 0;        // assignments to skip in combo ci
+    if (start.shard != 0 || start.offset != 0) {
+        // Reach the cursor by sizing the combinations before it (the
+        // planning build: radices only, no relations).
+        for (; ci < combos; ++ci) {
+            space.build(_test, comboAt(ci), /*materialize=*/false);
+            if (!space.valid)
+                continue;
+            const std::uint64_t shards = shardsIn(space.total);
+            if (start.shard < firstShard + shards)
+                break;
+            firstShard += shards;
+        }
+        skip = (start.shard - firstShard) * kCheckShardTarget +
+               start.offset;
+    }
+    for (; ci < combos; ++ci) {
         // Cancellation poll before each (potentially expensive)
         // skeleton build; the per-step poll below keeps the latency
         // bound within a combination.
@@ -606,19 +610,27 @@ CandidateEnumerator::forEachStaged(const StagedVisitor &visit,
         space.build(_test, comboAt(ci), /*materialize=*/true);
         if (!space.valid)
             continue;
+        rexAssert(skip < space.total, "staged cursor outside the plan");
+        space.seek(skip);
+        StagedInfo info;
+        info.comboIndex = ci;
+        info.shard = firstShard + skip / kCheckShardTarget;
+        info.offset = skip % kCheckShardTarget;
+        skip = 0;
         while (true) {
-            StagedInfo info;
-            info.comboIndex = ci;
             info.coherent = space.coherent();
-            if (check_prefilter)
-                verifyPrefilter(space.cand, info.coherent);
             if (!visit(space.cand, info))
                 return;
             if (cancel && cancel->cancelled())
                 return;
             if (!space.step())
                 break;
+            if (++info.offset == kCheckShardTarget) {
+                ++info.shard;
+                info.offset = 0;
+            }
         }
+        firstShard += shardsIn(space.total);
     }
 }
 
@@ -632,11 +644,8 @@ CandidateEnumerator::forEach(
 }
 
 std::vector<CandidateEnumerator::Shard>
-CandidateEnumerator::planShards(std::uint64_t target_per_shard,
-                                const engine::CancelToken *cancel) const
+CandidateEnumerator::planShards(const engine::CancelToken *cancel) const
 {
-    if (target_per_shard == 0)
-        target_per_shard = 1;
     std::vector<Shard> shards;
     const std::size_t combos = combinationCount();
     ComboSpace space;
@@ -647,10 +656,10 @@ CandidateEnumerator::planShards(std::uint64_t target_per_shard,
         if (!space.valid)
             continue;
         for (std::uint64_t begin = 0; begin < space.total;
-                begin += target_per_shard) {
+                begin += kCheckShardTarget) {
             shards.push_back(
-                {ci, begin,
-                 std::min(space.total, begin + target_per_shard)});
+                {shards.size(), ci, begin,
+                 std::min(space.total, begin + kCheckShardTarget)});
         }
     }
     return shards;
@@ -661,7 +670,6 @@ CandidateEnumerator::visitShard(const Shard &shard,
                                 const StagedVisitor &visit,
                                 const engine::CancelToken *cancel) const
 {
-    const bool check_prefilter = envFlag("REX_PREFILTER_CHECK");
     if (cancel && cancel->cancelled())
         return false;  // budget already gone: skip the skeleton build
     ComboSpace space;
@@ -671,12 +679,14 @@ CandidateEnumerator::visitShard(const Shard &shard,
     rexAssert(shard.end <= space.total && shard.begin < shard.end,
               "shard outside its combination's witness space");
     space.seek(shard.begin);
+    StagedInfo info;
+    info.comboIndex = shard.combo;
+    info.shard = shard.index;
     for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
-        StagedInfo info;
-        info.comboIndex = shard.combo;
+        // Plan shards start at multiples of the target, so this is the
+        // offset from the plan start even when begin was advanced.
+        info.offset = i % kCheckShardTarget;
         info.coherent = space.coherent();
-        if (check_prefilter)
-            verifyPrefilter(space.cand, info.coherent);
         if (!visit(space.cand, info))
             return false;
         if (i + 1 < shard.end && !space.step())

@@ -18,10 +18,14 @@
  * candidate, no pre-filter) is retained as forEachNaive(), the
  * reference that checkTestNaive() and the parity tests use.
  *
- * Env knobs:
- *   REX_PREFILTER_CHECK=1  assert, for every candidate, that the
- *                          coherence pre-filter agrees with a full
- *                          cycle check of po-loc | rf | co | fr.
+ * Every staged candidate has a fixed position in the check plan: the
+ * witness space of each combination is cut into shards of
+ * kCheckShardTarget assignments, numbered in enumeration order. A
+ * position (shard, offset) is a Cursor; forEachStaged() can start at
+ * one and reports each candidate's, and visitShard() reports the same
+ * positions for the shards of planShards(). The checker's serial and
+ * pooled walks, and the continuation tokens that resume them, all
+ * address candidates this way.
  */
 
 #ifndef REX_AXIOMATIC_ENUMERATE_HH
@@ -37,6 +41,12 @@
 namespace rex {
 
 namespace engine { class CancelToken; }
+
+/** Witness assignments per shard in the deterministic check plan:
+ *  large enough to amortise the per-shard program fold, small enough
+ *  to split tiny tests. Continuation tokens address shards by index
+ *  into this plan, so the value is part of their fingerprint. */
+inline constexpr std::uint64_t kCheckShardTarget = 256;
 
 /** Enumerates every candidate execution of a litmus test. */
 class CandidateEnumerator
@@ -54,6 +64,18 @@ class CandidateEnumerator
          *  (SC-per-location) axiom is guaranteed to reject this
          *  candidate and the full model evaluation can be skipped. */
         bool coherent = true;
+
+        /** This candidate's shard in the check plan and its offset
+         *  within that shard. */
+        std::uint64_t shard = 0;
+        std::uint64_t offset = 0;
+    };
+
+    /** A candidate position in the check plan: shard index plus
+     *  offset within the shard ({} is the first candidate). */
+    struct Cursor {
+        std::uint64_t shard;
+        std::uint64_t offset;
     };
 
     /**
@@ -66,6 +88,7 @@ class CandidateEnumerator
 
     /** A contiguous slice of one combination's witness space. */
     struct Shard {
+        std::uint64_t index = 0;   //!< position in the check plan
         std::size_t combo = 0;     //!< trace-combination index
         std::uint64_t begin = 0;   //!< first witness-odometer index
         std::uint64_t end = 0;     //!< one past the last index
@@ -86,13 +109,19 @@ class CandidateEnumerator
     void forEach(const std::function<bool(CandidateExecution &)> &visit);
 
     /**
-     * Staged visitation: candidates plus their staging facts.
+     * Staged visitation: candidates plus their staging facts, in
+     * enumeration order.
      * @param cancel when non-null, polled in the odometer loop (per
      *        combination and per witness step); a tripped token stops
      *        enumeration before the next candidate is assembled.
+     * @param start first candidate to visit. The combinations before
+     *        it are only sized, never materialized; it must lie inside
+     *        the plan (callers holding an untrusted cursor check it
+     *        against planShards() first).
      */
     void forEachStaged(const StagedVisitor &visit,
-                       const engine::CancelToken *cancel = nullptr) const;
+                       const engine::CancelToken *cancel = nullptr,
+                       Cursor start = {}) const;
 
     /**
      * The retained pre-staging reference path: a fresh candidate is
@@ -107,8 +136,8 @@ class CandidateEnumerator
     std::size_t combinationCount() const;
 
     /**
-     * Split the whole candidate space into shards of at most
-     * @p target_per_shard candidates, each within one combination, in
+     * The check plan: the whole candidate space in shards of at most
+     * kCheckShardTarget candidates, each within one combination, in
      * global enumeration order. Concatenating the shards' candidates
      * reproduces forEachStaged() exactly, which makes parallel
      * execution with a deterministic in-order merge possible.
@@ -118,12 +147,13 @@ class CandidateEnumerator
      *        deadline budget.
      */
     std::vector<Shard> planShards(
-        std::uint64_t target_per_shard,
         const engine::CancelToken *cancel = nullptr) const;
 
     /**
      * Visit one shard's candidates (thread-safe: shards build private
-     * odometer state; the enumerator itself is only read).
+     * odometer state; the enumerator itself is only read). A shard
+     * whose begin was advanced past its plan start is entered there;
+     * positions are still reported against the plan.
      * @param cancel when non-null and already tripped, the shard's
      *        skeleton build is skipped entirely; the per-candidate
      *        stop is the visitor's job (see the checker).

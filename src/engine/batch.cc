@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "axiomatic/enumerate.hh"
 #include "base/logging.hh"
 #include "engine/crashctx.hh"
 
@@ -42,6 +43,49 @@ resolveJobs(unsigned requested)
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
+}
+
+/** Prepend a token's already-merged enumeration-order prefix to the
+ *  piece that resumed it. */
+void
+prependPrefix(CheckResult &result, const ContinuationState &prefix)
+{
+    result.candidates += prefix.candidates;
+    result.consistent += prefix.consistent;
+    result.witnesses += prefix.witnesses;
+    result.constrainedUnpredictable += prefix.constrainedUnpredictable;
+    result.unknownSideEffects += prefix.unknownSideEffects;
+    if (!prefix.forbiddingAxiom.empty()) {
+        // The prefix is earlier in enumeration order: its first
+        // satisfying rejection wins over anything this piece saw.
+        result.forbiddingAxiom = prefix.forbiddingAxiom;
+        result.forbiddingCycle.assign(prefix.forbiddingCycle.begin(),
+                                      prefix.forbiddingCycle.end());
+    }
+    result.observable = result.witnesses > 0;
+    // A witness settles the verdict, wherever it was found.
+    if (result.observable)
+        result.exhaustedAxis.clear();
+}
+
+/** The token state of a partial result stopped at @p outcome's cursor. */
+ContinuationState
+continuationAt(const ShardRangeOutcome &outcome, const CheckResult &result)
+{
+    ContinuationState next;
+    next.planTarget = kCheckShardTarget;
+    next.planSize = outcome.planSize;
+    next.nextShard = outcome.nextShard;
+    next.nextOffset = outcome.nextOffset;
+    next.candidates = result.candidates;
+    next.consistent = result.consistent;
+    next.witnesses = result.witnesses;
+    next.constrainedUnpredictable = result.constrainedUnpredictable;
+    next.unknownSideEffects = result.unknownSideEffects;
+    next.forbiddingAxiom = result.forbiddingAxiom;
+    next.forbiddingCycle.assign(result.forbiddingCycle.begin(),
+                                result.forbiddingCycle.end());
+    return next;
 }
 
 } // namespace
@@ -104,44 +148,31 @@ Engine::Engine(EngineConfig config)
 }
 
 CheckResult
-Engine::verdict(const LitmusTest &test, const ModelParams &params)
-{
-    JobRecord record;
-    return verdictCommon(test, params, record).toResult();
-}
-
-JobRecord
-Engine::verdictRecord(const LitmusTest &test, const ModelParams &params)
-{
-    JobRecord record;
-    verdictCommon(test, params, record);
-    return record;
-}
-
-JobRecord
-Engine::verdictRecord(const LitmusTest &test, const ModelParams &params,
-                      const Budget &budget)
-{
-    JobRecord record;
-    verdictCommon(test, params, record, &budget);
-    return record;
-}
-
-CheckResult
 Engine::verdict(const LitmusTest &test, const ModelParams &params,
                 const Budget &budget)
 {
     JobRecord record;
-    CheckResult result = verdictCommon(test, params, record,
-                                       &budget).toResult();
+    CheckResult result = verdictCommon(test, params, record, budget,
+                                       false, nullptr).toResult();
     result.exhaustedAxis = record.exhaustedAxis;
     result.observable = result.observable && result.complete();
     return result;
 }
 
+JobRecord
+Engine::verdictRecord(const LitmusTest &test, const ModelParams &params,
+                      const Budget &budget, bool resumable,
+                      const ContinuationState *resume)
+{
+    JobRecord record;
+    verdictCommon(test, params, record, budget, resumable, resume);
+    return record;
+}
+
 CachedVerdict
 Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
-                      JobRecord &record, const Budget *budget)
+                      JobRecord &record, const Budget &budget,
+                      bool resumable, const ContinuationState *resume)
 {
     auto start = std::chrono::steady_clock::now();
     VerdictKey key =
@@ -149,6 +180,11 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
 
     record.test = test.name;
     record.variant = params.name();
+    if (resume && resume->planTarget != kCheckShardTarget) {
+        throw ContinuationRefused(
+            "continuation token was planned with a different shard "
+            "target");
+    }
 
     std::optional<CachedVerdict> cached = _cache.lookup(key);
     CachedVerdict verdict;
@@ -156,17 +192,18 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
     std::string verdictOverride;
     if (cached) {
         // A cached verdict is a completed one, so it satisfies any
-        // budget: budgeted requests are served from the cache too.
+        // budget and any resume: the stitched outcome of a resume
+        // sequence equals the uninterrupted run the cache holds.
         verdict = *cached;
         record.cacheHit = true;
-    } else if (_supervisor && !test.sourceText.empty()) {
+    } else if (_supervisor && !resumable && !test.sourceText.empty()) {
         // Supervised mode: the check runs in a worker process, so a
         // crash in enumeration costs this job, not this process. Only
         // tests carrying their source text can ship across the process
         // boundary; programmatic tests fall through to in-thread.
         const SupervisedOutcome outcome =
             _supervisor->run(test.sourceText, test.name, params.name(),
-                             key.hashHex(), budget);
+                             key.hashHex(), &budget);
         verdict = outcome.verdict;
         switch (outcome.kind) {
           case SupervisedOutcome::Kind::Ok:
@@ -207,44 +244,80 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
     } else {
         // Witness-less, short-circuiting check: Allowed verdicts stop at
         // the first witnessing candidate. From the engine's own worker
-        // threads the pool is withheld (checkTest would shard the
+        // threads the pool is withheld (the checker would shard the
         // candidate space onto the same pool and deadlock waiting on
         // its futures); a direct caller gets intra-test sharding.
         ThreadPool *pool =
             ThreadPool::onWorkerThread() ? nullptr : _pool.get();
+        std::optional<Governor> governor;
+        if (!budget.unlimited())
+            governor.emplace(budget, nullptr, &_liveCandidates);
         // Crash attribution for the in-thread path: if this check
         // takes the process down, the fatal-signal handler (when the
         // harness installed it) names the test it died in.
         crashContextSetJob(test.name.c_str(), params.name().c_str());
         CheckResult result;
-        if (budget && !budget->unlimited()) {
-            Governor governor(*budget, nullptr, &_liveCandidates);
-            result = checkTest(test, params,
-                               /*stop_at_first=*/true,
-                               /*capture_witness=*/false, pool, &governor);
-            const std::uint64_t visited = governor.candidatesVisited();
-            _liveCandidates.fetch_sub(visited, std::memory_order_relaxed);
-            _candidatesTotal.fetch_add(visited, std::memory_order_relaxed);
-            if (!result.complete()) {
-                exhausted = true;
-                record.exhaustedAxis = result.exhaustedAxis;
-                record.stage = governor.stageReached();
+        ShardRangeOutcome piece;
+        if (resumable) {
+            ShardRangeSpec spec;
+            if (resume) {
+                spec.shardBegin = resume->nextShard;
+                spec.inShardOffset = resume->nextOffset;
+                spec.issuedPlanSize = resume->planSize;
             }
+            piece = checkShardRange(test, params, spec, pool,
+                                    governor ? &*governor : nullptr);
+            result = std::move(piece.result);
         } else {
-            result = checkTest(test, params,
-                               /*stop_at_first=*/true,
-                               /*capture_witness=*/false, pool);
-            _candidatesTotal.fetch_add(result.candidates,
-                                       std::memory_order_relaxed);
+            result = checkTest(test, params, /*stop_at_first=*/true,
+                               /*capture_witness=*/false, pool,
+                               governor ? &*governor : nullptr);
         }
+        const std::uint64_t visited =
+            governor ? governor->candidatesVisited() : result.candidates;
+        if (governor)
+            _liveCandidates.fetch_sub(visited, std::memory_order_relaxed);
+        _candidatesTotal.fetch_add(visited, std::memory_order_relaxed);
         crashContextClearJob();
+
+        if (resume) {
+            // The fingerprint only catches accidents: anyone can
+            // recompute it, so the cursor must also fit this plan.
+            if (piece.cursorRefused) {
+                throw ContinuationRefused(
+                    "continuation cursor does not fit the re-derived "
+                    "shard plan");
+            }
+            prependPrefix(result, *resume);
+        }
         verdict = CachedVerdict::fromResult(result);
-        // A partial result is not a verdict: caching it would poison
-        // every future lookup of this key. A check that completed
-        // within its budget is identical to an unbudgeted one and is
-        // cached normally.
-        if (!exhausted)
+        if (!result.complete()) {
+            exhausted = true;
+            record.exhaustedAxis = result.exhaustedAxis;
+            record.stage = governor ? governor->stageReached() : "";
+            if (resumable && piece.planned) {
+                // Programmatic tests carry no source text; their tokens
+                // fingerprint the registry name instead (still unique
+                // per test, and the HTTP path always has the source).
+                ContinuationState next = continuationAt(piece, result);
+                next.fingerprint = continuationFingerprint(
+                    test.sourceText.empty() ? test.name : test.sourceText,
+                    record.variant, _config.modelRevision, next);
+                record.continuation = serializeContinuation(next);
+            } else if (resume) {
+                // Trace construction outran this piece's whole budget:
+                // no progress, no new cursor — hand the same token
+                // back, loss-free.
+                record.continuation = serializeContinuation(*resume);
+            }
+        } else if (!resume) {
+            // Partial results never reach the cache (one would poison
+            // every later lookup of this key), and neither do resumed
+            // ones, whose prefix counts came from the client. A fresh
+            // check that completed within its budget is identical to an
+            // unbudgeted one and is cached normally.
             _cache.store(key, verdict);
+        }
     }
 
     record.verdict =
@@ -262,146 +335,6 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
             .count());
     _sink.append(record);
     return verdict;
-}
-
-JobRecord
-Engine::verdictRecordResumable(const LitmusTest &test,
-                               const ModelParams &params,
-                               const Budget &budget,
-                               const ContinuationState *resume)
-{
-    auto start = std::chrono::steady_clock::now();
-    JobRecord record;
-    record.test = test.name;
-    record.variant = params.name();
-    VerdictKey key =
-        VerdictKey::make(test, params, _config.modelRevision);
-
-    auto finish = [&](const CachedVerdict &verdict) {
-        record.candidates = verdict.candidates;
-        record.consistent = verdict.consistent;
-        record.witnesses = verdict.witnesses;
-        record.forbidding = verdict.forbiddingSummary();
-        record.wallMicros = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        _sink.append(record);
-    };
-
-    // A cached verdict is a completed one: it serves fresh and resumed
-    // requests alike — the stitched outcome of any resume sequence
-    // equals the uninterrupted run, which is exactly what the cache
-    // holds.
-    if (std::optional<CachedVerdict> cached = _cache.lookup(key)) {
-        record.cacheHit = true;
-        record.verdict = cached->observable ? "Allowed" : "Forbidden";
-        finish(*cached);
-        return record;
-    }
-
-    // Programmatic tests carry no source text; their continuations
-    // fingerprint the registry name instead (still unique per test,
-    // and the HTTP path always has the source).
-    const std::string &fingerprintSource =
-        test.sourceText.empty() ? test.name : test.sourceText;
-
-    ShardRangeSpec spec;
-    spec.planTarget = kCheckShardTarget;
-    if (resume) {
-        rexAssert(resume->planTarget == kCheckShardTarget,
-                  "continuation plan target drift past its fingerprint");
-        spec.shardBegin = resume->nextShard;
-        spec.inShardOffset = resume->nextOffset;
-    }
-
-    std::optional<Governor> governor;
-    if (!budget.unlimited())
-        governor.emplace(budget, nullptr, &_liveCandidates);
-
-    ThreadPool *pool =
-        ThreadPool::onWorkerThread() ? nullptr : _pool.get();
-    crashContextSetJob(test.name.c_str(), params.name().c_str());
-    ShardRangeOutcome out =
-        checkShardRange(test, params, spec, pool,
-                        governor ? &*governor : nullptr);
-    if (governor) {
-        const std::uint64_t visited = governor->candidatesVisited();
-        _liveCandidates.fetch_sub(visited, std::memory_order_relaxed);
-        _candidatesTotal.fetch_add(visited, std::memory_order_relaxed);
-    } else {
-        _candidatesTotal.fetch_add(out.result.candidates,
-                                   std::memory_order_relaxed);
-    }
-    crashContextClearJob();
-
-    if (resume) {
-        if (out.planned) {
-            rexAssert(resume->planSize == out.planSize,
-                      "continuation plan drift: fingerprint matched but "
-                      "the re-derived shard plan differs");
-        }
-        // Prepend the token's already-merged enumeration-order prefix.
-        out.result.candidates += resume->candidates;
-        out.result.consistent += resume->consistent;
-        out.result.witnesses += resume->witnesses;
-        out.result.constrainedUnpredictable +=
-            resume->constrainedUnpredictable;
-        out.result.unknownSideEffects += resume->unknownSideEffects;
-        if (!resume->forbiddingAxiom.empty()) {
-            // The prefix is earlier in enumeration order: its first
-            // satisfying rejection wins over anything this piece saw.
-            out.result.forbiddingAxiom = resume->forbiddingAxiom;
-            out.result.forbiddingCycle.assign(
-                resume->forbiddingCycle.begin(),
-                resume->forbiddingCycle.end());
-        }
-        out.result.observable = out.result.witnesses > 0;
-    }
-
-    const bool witnessed = out.result.witnesses > 0;
-    const bool complete = witnessed || out.completed;
-    CachedVerdict verdict = CachedVerdict::fromResult(out.result);
-    if (complete) {
-        // Indistinguishable from an uninterrupted check; cache it like
-        // one so every later lookup (resumed or not) hits.
-        out.result.exhaustedAxis.clear();
-        verdict = CachedVerdict::fromResult(out.result);
-        _cache.store(key, verdict);
-        record.verdict = witnessed ? "Allowed" : "Forbidden";
-        finish(verdict);
-        return record;
-    }
-
-    record.verdict = "ExhaustedBudget";
-    record.exhaustedAxis = out.result.exhaustedAxis;
-    record.stage = governor ? governor->stageReached() : "";
-    if (out.planned) {
-        ContinuationState next;
-        next.planTarget = spec.planTarget;
-        next.planSize = out.planSize;
-        next.nextShard = out.nextShard;
-        next.nextOffset = out.nextOffset;
-        next.candidates = out.result.candidates;
-        next.consistent = out.result.consistent;
-        next.witnesses = out.result.witnesses;
-        next.constrainedUnpredictable =
-            out.result.constrainedUnpredictable;
-        next.unknownSideEffects = out.result.unknownSideEffects;
-        next.forbiddingAxiom = out.result.forbiddingAxiom;
-        next.forbiddingCycle.assign(out.result.forbiddingCycle.begin(),
-                                    out.result.forbiddingCycle.end());
-        next.fingerprint =
-            continuationFingerprint(fingerprintSource, record.variant,
-                                    _config.modelRevision, next);
-        record.continuation = serializeContinuation(next);
-    } else if (resume) {
-        // Trace construction outran this piece's whole budget: no
-        // progress, no new cursor — hand the same token back, loss-free.
-        record.continuation = serializeContinuation(*resume);
-    }
-    finish(verdict);
-    return record;
 }
 
 Engine &

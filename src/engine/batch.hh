@@ -148,64 +148,58 @@ class Engine
     /**
      * Verdict-only check of @p test under @p params: cached, witness-less
      * (the checker short-circuits on the first witness), recorded in the
-     * results sink with wall time and cache-hit flag.
+     * results sink with wall time and cache-hit flag, enforced by a
+     * Governor built from @p budget (an unlimited budget runs
+     * ungoverned). When the budget trips, the result carries the
+     * tripped axis in exhaustedAxis, partial counts, and observable
+     * false; it is NOT stored in the verdict cache. A check that
+     * completes within budget is indistinguishable from — and cached
+     * exactly like — an unbudgeted one.
      */
-    CheckResult verdict(const LitmusTest &test, const ModelParams &params);
+    CheckResult verdict(const LitmusTest &test, const ModelParams &params,
+                        const Budget &budget = {});
 
     /**
      * Like verdict(), but returning the full JobRecord that was
-     * appended to the results sink — verdict plus wall time and
-     * cache-hit flag. This is rexd's serving path: the record is
-     * exactly one JSONL response line.
-     */
-    JobRecord verdictRecord(const LitmusTest &test,
-                            const ModelParams &params);
-
-    /**
-     * Budgeted verdict check: like verdictRecord(), but enforced by a
-     * Governor built from @p budget. When the budget trips, the record
-     * carries verdict "ExhaustedBudget" with partial statistics (the
-     * tripped axis, the stage reached, candidates visited so far) and
-     * is NOT stored in the verdict cache; a check that completes within
-     * budget is indistinguishable from — and cached exactly like — an
-     * unbudgeted one. An unlimited budget takes the legacy path.
+     * appended to the results sink — verdict plus wall time, cache-hit
+     * flag and, on a trip, verdict "ExhaustedBudget" with the tripped
+     * axis and the stage reached. This is rexd's serving path: the
+     * record is exactly one JSONL response line.
+     *
+     * With @p resumable, the check walks the deterministic
+     * kCheckShardTarget plan (checkShardRange) and a budget trip yields
+     * a record carrying a `rex-cont-v1` token (record.continuation)
+     * whose state — cursor plus the partial counts merged so far — this
+     * method accepts back as @p resume to continue exactly where the
+     * previous piece stopped. Stitched pieces converge to a final record
+     * whose verdict, counts, and forbidding diagnostic are
+     * byte-identical to an uninterrupted run at any split point and any
+     * REX_JOBS; the intermediate pieces' partial counts are the merged
+     * enumeration-order prefix (deadline splits are therefore
+     * schedule-dependent, the final verdict never is). Resumable checks
+     * run in-thread, never supervised.
+     *
+     * @p resume must have been fingerprint-validated by the caller
+     * (service.cc refuses mismatches with 409 before calling). The
+     * fingerprint is not a secret, so the engine also checks the token
+     * against the re-derived plan and throws ContinuationRefused on a
+     * mismatch. A verdict that used a token's counts is never cached:
+     * they are the client's word, not this engine's computation.
      */
     JobRecord verdictRecord(const LitmusTest &test,
                             const ModelParams &params,
-                            const Budget &budget);
+                            const Budget &budget = {},
+                            bool resumable = false,
+                            const ContinuationState *resume = nullptr);
 
-    /** Budgeted variant of verdict(); see the budgeted verdictRecord(). */
-    CheckResult verdict(const LitmusTest &test, const ModelParams &params,
-                        const Budget &budget);
-
-    /**
-     * Resumable verdict check over the deterministic kCheckShardTarget
-     * shard plan.
-     *
-     * Like the budgeted verdictRecord(), except that a budget trip
-     * yields an ExhaustedBudget record carrying a `rex-cont-v1` token
-     * (record.continuation) whose state — cursor plus the partial
-     * counts merged so far — this method accepts back as @p resume to
-     * continue exactly where the previous piece stopped. Stitched
-     * pieces converge to a final record whose verdict, counts, and
-     * forbidding diagnostic are byte-identical to an uninterrupted
-     * (unbudgeted) run at any split point and any REX_JOBS; the
-     * intermediate pieces' partial counts are the merged
-     * enumeration-order prefix (deadline splits are therefore
-     * schedule-dependent, the final verdict never is).
-     *
-     * @p resume must have been fingerprint-validated by the caller
-     * (service.cc refuses mismatches with 409 before calling); the
-     * engine re-checks the plan shape and dies loudly on drift.
-     *
-     * Runs in-thread (never supervised). Completed verdicts hit and
-     * fill the same cache as every other path.
-     */
-    JobRecord verdictRecordResumable(const LitmusTest &test,
-                                     const ModelParams &params,
-                                     const Budget &budget,
-                                     const ContinuationState *resume =
-                                         nullptr);
+    /** verdictRecord() with @p resumable set. */
+    JobRecord
+    verdictRecordResumable(const LitmusTest &test,
+                           const ModelParams &params, const Budget &budget,
+                           const ContinuationState *resume = nullptr)
+    {
+        return verdictRecord(test, params, budget, true, resume);
+    }
 
     /** Tasks queued (not yet running) in the pool; 0 when serial. */
     std::size_t
@@ -250,12 +244,13 @@ class Engine
     static Engine &shared();
 
   private:
-    /** Shared lookup/compute/record path behind verdict[Record]().
-     *  @p budget may be null (or unlimited): the legacy path. */
+    /** The one lookup/compute/record path behind verdict() and
+     *  verdictRecord(): fills @p record and returns its verdict. */
     CachedVerdict verdictCommon(const LitmusTest &test,
                                 const ModelParams &params,
-                                JobRecord &record,
-                                const Budget *budget = nullptr);
+                                JobRecord &record, const Budget &budget,
+                                bool resumable,
+                                const ContinuationState *resume);
 
     EngineConfig _config;
     unsigned _jobs = 1;

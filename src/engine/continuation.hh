@@ -6,12 +6,16 @@
  * before the trip — fingerprinted so a resumed piece can only ever run
  * against the exact job that issued it.
  *
- * The fingerprint doubles as an integrity check: it hashes the job
- * identity (test source, variant, model revision, shard-plan target)
- * *and* every payload field of the token, so both a stale token (model
- * revision bumped, test source edited) and a tampered one (cursor or
- * counts altered) fail the same single comparison and are refused —
- * the same posture as the hammer checkpoint's fingerprint (gen/hammer).
+ * The fingerprint hashes the job identity (test source, variant, model
+ * revision, shard-plan target) *and* every payload field of the token,
+ * so a stale token (model revision bumped, test source edited) or a
+ * corrupted one fails a single comparison and is refused — the same
+ * posture as the hammer checkpoint's fingerprint (gen/hammer). It is an
+ * unkeyed hash of public inputs, so it catches accidents, not forgery:
+ * anyone can recompute it. The engine therefore also checks a token's
+ * plan target, plan size and cursor against the re-derived plan
+ * (ContinuationRefused on a mismatch), and never caches a verdict that
+ * used a token's counts.
  *
  * Resumed-in-pieces runs are byte-identical to uninterrupted ones: the
  * token's counts are the exact enumeration-order prefix below the
@@ -25,6 +29,7 @@
 #define REX_ENGINE_CONTINUATION_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +66,17 @@ struct ContinuationState {
     /** First satisfying candidate's rejection, if one was seen. */
     std::string forbiddingAxiom;
     std::vector<std::uint32_t> forbiddingCycle;
+};
+
+/**
+ * Thrown when a token cannot resume the job it is replayed against: its
+ * fingerprint does not match (rexd's service checks that), or its plan
+ * target, plan size or cursor does not fit the re-derived plan (the
+ * engine checks those). rexd answers 409 Conflict: the request is
+ * well-formed, the state disagrees.
+ */
+struct ContinuationRefused : public std::runtime_error {
+    using std::runtime_error::runtime_error;
 };
 
 /**

@@ -110,8 +110,9 @@ struct JobRecord {
     /**
      * `rex-cont-v1` resume token (engine/continuation.hh); non-empty
      * only on an ExhaustedBudget record from a resumable check. POSTing
-     * it back to /check (or passing it to verdictRecordResumable)
-     * continues the enumeration where this record stopped.
+     * it back to /check (or passing its state to Engine::verdictRecord
+     * as the resume) continues the enumeration where this record
+     * stopped.
      */
     std::string continuation;
 

@@ -224,6 +224,8 @@ CheckService::runCheckStreaming(
     // other variant, bumped model revision, or altered payload — fails
     // the fingerprint and is refused with 409: resuming it against
     // this job would silently merge counts from two different plans.
+    // The fingerprint is no signature; the engine refuses a recomputed
+    // one whose cursor does not fit the plan, also with 409.
     if (haveResume) {
         const std::string &fingerprintSource =
             test.sourceText.empty() ? test.name : test.sourceText;
@@ -231,13 +233,11 @@ CheckService::runCheckStreaming(
             fingerprintSource, request.variants[0],
             engine::kModelRevision, resumeState);
         if (expected != resumeState.fingerprint) {
-            ++_metrics.continuationRefused;
-            throw ResumeRefusedError(
+            throw engine::ContinuationRefused(
                 "continuation fingerprint mismatch: the token was "
                 "issued for a different test source, variant, or "
                 "model revision");
         }
-        ++_metrics.resumeAccepted;
     }
 
     engine::Budget budget;
@@ -255,24 +255,13 @@ CheckService::runCheckStreaming(
         catc::nativeStaged(ModelParams::byName(variant));
         _metrics.stageCompile.observe(microsSince(compile_start));
         auto check_start = std::chrono::steady_clock::now();
-        // Resumable/resumed checks take the shard-range merge loop
-        // behind continuation tokens; everything else keeps the legacy
-        // verdict path byte-for-byte.
-        engine::JobRecord record;
-        if (request.resumable) {
-            record = _engine.verdictRecordResumable(
-                test, ModelParams::byName(variant), budget,
-                haveResume ? &resumeState : nullptr);
-            if (!record.continuation.empty())
-                ++_metrics.continuationsIssued;
-        } else {
-            record =
-                budget.unlimited()
-                    ? _engine.verdictRecord(test,
-                                            ModelParams::byName(variant))
-                    : _engine.verdictRecord(
-                          test, ModelParams::byName(variant), budget);
-        }
+        engine::JobRecord record = _engine.verdictRecord(
+            test, ModelParams::byName(variant), budget, request.resumable,
+            haveResume ? &resumeState : nullptr);
+        if (haveResume)
+            ++_metrics.resumeAccepted;
+        if (!record.continuation.empty())
+            ++_metrics.continuationsIssued;
         _metrics.stageCheck.observe(microsSince(check_start));
         if (!record.cacheHit)
             _metrics.stageEnumerate.observe(record.wallMicros);
@@ -465,9 +454,10 @@ CheckService::handleCheck(
         response.extraHeaders["ETag"] = etag;
         response.extraHeaders["Cache-Control"] =
             outcome.deterministic ? cacheable : "no-store";
-    } catch (const ResumeRefusedError &err) {
+    } catch (const engine::ContinuationRefused &err) {
         // A stale or tampered continuation token: well-formed request,
         // conflicting state.
+        ++_metrics.continuationRefused;
         return HttpResponse::error(409, err.what());
     } catch (const FatalError &err) {
         // Litmus parse/validation errors: the client's fault.

@@ -41,7 +41,6 @@
 #define REX_SERVER_SERVICE_HH
 
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,16 +111,6 @@ struct CheckRequest {
  */
 std::string verdictETag(const std::string &canonicalKey,
                         const std::string &revision);
-
-/**
- * Thrown by runCheckStreaming() when a resume token's fingerprint does
- * not match the job it is being replayed against (test source edited,
- * model revision bumped, or the token tampered with). Surfaces as
- * 409 Conflict — the request is well-formed, the state disagrees.
- */
-struct ResumeRefusedError : public std::runtime_error {
-    using std::runtime_error::runtime_error;
-};
 
 /** A /check run's body plus its cacheability. */
 struct CheckOutcome {

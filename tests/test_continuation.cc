@@ -6,8 +6,10 @@
  * both job identity and payload, resumed-in-pieces runs byte-identical
  * to uninterrupted ones across every builtin x paper variant at
  * randomized split points, multi-piece chains identical between
- * REX_JOBS 1 and 4 engines, shard-range partition arithmetic, and the
- * service-level 400/409 refusal + resume-loop protocol.
+ * REX_JOBS 1 and 4 engines, shard-range partition arithmetic, the
+ * service-level 400/409 refusal + resume-loop protocol, and forged
+ * tokens (fingerprint recomputed) that must neither reach the verdict
+ * cache nor crash the server.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "axiomatic/checker.hh"
+#include "axiomatic/enumerate.hh"
 #include "base/strings.hh"
 #include "engine/batch.hh"
 #include "engine/continuation.hh"
@@ -36,6 +39,15 @@ plainConfig(unsigned jobs)
     engine::EngineConfig config;
     config.jobs = jobs;
     config.cacheEnabled = false;
+    return config;
+}
+
+/** An engine with an in-memory verdict cache and no results file. */
+engine::EngineConfig
+cachedConfig(unsigned jobs)
+{
+    engine::EngineConfig config;
+    config.jobs = jobs;
     return config;
 }
 
@@ -548,6 +560,113 @@ TEST(ResumeProtocol, StitchedLoopMatchesTheUnbudgetedAnswer)
     EXPECT_EQ(stabilise(finalLine), stabilise(trim(whole.body)));
     EXPECT_GE(metrics.resumeAccepted.load(),
               static_cast<std::uint64_t>(hops));
+}
+
+/** A genuine token for @p source under base, from a budget trip. */
+engine::ContinuationState
+trippedToken(server::CheckService &service, const std::string &source)
+{
+    server::HttpResponse tripped = post(
+        service, "{\"test\":" + quoted(source) +
+                     ",\"variants\":[\"base\"],\"resumable\":true,"
+                     "\"max_candidates\":1}");
+    EXPECT_EQ(tripped.status, 200);
+    server::JsonValue line = server::parseJson(trim(tripped.body));
+    const server::JsonValue *token = line.find("continuation");
+    engine::ContinuationState state;
+    EXPECT_TRUE(token && token->isString() &&
+                engine::parseContinuation(token->string, state));
+    return state;
+}
+
+/** POST a resume of @p state, its fingerprint recomputed the way any
+ *  client can: the fingerprint is an unkeyed hash of public inputs. */
+server::HttpResponse
+postForged(server::CheckService &service, const std::string &source,
+           engine::ContinuationState state)
+{
+    state.fingerprint = engine::continuationFingerprint(
+        source, "base", engine::kModelRevision, state);
+    return post(service,
+                "{\"test\":" + quoted(source) +
+                    ",\"variants\":[\"base\"],\"resume\":" +
+                    quoted(engine::serializeContinuation(state)) + "}");
+}
+
+TEST(ResumeProtocol, ForgedTokenNeverPoisonsTheVerdictCache)
+{
+    // Both tests are Forbidden under base (MP+dmb.sy+ctrlsvc is Fig. 5).
+    for (const char *name : {"MP+dmb.sy+ctrlsvc", "IRIW+addrs"}) {
+        engine::Engine engine(cachedConfig(1));
+        server::Metrics metrics;
+        server::CheckService service(engine, metrics);
+        const std::string source =
+            TestRegistry::instance().sourceText(name);
+        engine::ContinuationState state = trippedToken(service, source);
+        ASSERT_GT(state.planSize, 1u) << name;
+
+        // A forged witness count on a cursor inside the plan: the
+        // answer is the client's own business, but it must not be
+        // remembered as this test's verdict.
+        engine::ContinuationState forged = state;
+        forged.nextShard = state.planSize - 1;
+        forged.nextOffset = 0;
+        forged.witnesses = 1;
+        EXPECT_EQ(postForged(service, source, forged).status, 200)
+            << name;
+
+        // A cursor past the plan's end is refused outright.
+        forged.nextShard = state.planSize;
+        EXPECT_EQ(postForged(service, source, forged).status, 409)
+            << name;
+
+        server::HttpResponse plain =
+            post(service, "{\"test\":" + quoted(source) +
+                              ",\"variants\":[\"base\"]}");
+        ASSERT_EQ(plain.status, 200);
+        server::JsonValue line = server::parseJson(trim(plain.body));
+        const server::JsonValue *verdict = line.find("verdict");
+        const server::JsonValue *hit = line.find("cache_hit");
+        ASSERT_TRUE(verdict && verdict->isString() && hit && hit->isBool());
+        EXPECT_EQ(verdict->string, "Forbidden") << name;
+        EXPECT_FALSE(hit->boolean) << name;
+    }
+}
+
+TEST(ResumeProtocol, RefusesTokensThatDoNotFitThePlan)
+{
+    engine::Engine engine(plainConfig(1));
+    server::Metrics metrics;
+    server::CheckService service(engine, metrics);
+    const std::string source =
+        TestRegistry::instance().sourceText("IRIW+addrs");
+    const engine::ContinuationState state = trippedToken(service, source);
+    ASSERT_GT(state.planSize, 1u);
+
+    engine::ContinuationState forged = state;
+    forged.nextOffset = kCheckShardTarget;
+    EXPECT_EQ(postForged(service, source, forged).status, 409)
+        << "an offset past its shard must be refused, not panic";
+
+    forged = state;
+    forged.nextShard = state.planSize + 5;
+    EXPECT_EQ(postForged(service, source, forged).status, 409);
+
+    forged = state;
+    forged.planSize = state.planSize + 1;
+    EXPECT_EQ(postForged(service, source, forged).status, 409)
+        << "a plan size that differs from the re-derived plan";
+
+    forged = state;
+    forged.planTarget = kCheckShardTarget / 2;
+    EXPECT_EQ(postForged(service, source, forged).status, 409)
+        << "a plan target other than the engine's";
+
+    EXPECT_EQ(metrics.continuationRefused.load(), 4u);
+    EXPECT_EQ(metrics.resumeAccepted.load(), 0u);
+
+    // The untouched token still resumes.
+    EXPECT_EQ(postForged(service, source, state).status, 200);
 }
 
 } // namespace

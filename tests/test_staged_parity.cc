@@ -12,7 +12,10 @@
  * program (catc); the naive path runs the native clauses.
  */
 
-#include <cstdlib>
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,25 +105,149 @@ TEST(StagedParity, GeneratedCycleTestsAllVariants)
     }
 }
 
+/** Does the full internal (SC-per-location) axiom accept @p cand? */
+bool
+internallyCoherent(const CandidateExecution &cand)
+{
+    const Relation internal = cand.poLoc() | cand.fr() | cand.co | cand.rf;
+    return !internal.findCycle().has_value();
+}
+
 TEST(StagedParity, PrefilterAgreesWithFullInternalCheck)
 {
-    // REX_PREFILTER_CHECK=1 makes the enumerator panic if the cheap
-    // per-location coherence pre-filter ever disagrees with the full
-    // SC-per-location cycle check; sweeping every built-in test under
-    // it is the strongest soundness exercise we have.
-    ASSERT_EQ(setenv("REX_PREFILTER_CHECK", "1", 1), 0);
+    // The cheap per-location coherence pre-filter must agree with the
+    // full SC-per-location cycle check on every candidate, through
+    // both the serial walk and the pooled walk's shard visitor;
+    // sweeping every built-in test is the strongest soundness exercise
+    // we have.
     for (const LitmusTest *test : TestRegistry::instance().all()) {
         CandidateEnumerator enumerator(*test);
-        std::size_t n = 0;
+        std::size_t staged = 0;
         enumerator.forEachStaged(
-            [&](CandidateExecution &,
-                const CandidateEnumerator::StagedInfo &) {
-                ++n;
+            [&](CandidateExecution &cand,
+                const CandidateEnumerator::StagedInfo &info) {
+                EXPECT_EQ(info.coherent, internallyCoherent(cand))
+                    << test->name << " candidate " << staged;
+                ++staged;
                 return true;
             });
-        EXPECT_EQ(n, enumerator.count()) << test->name;
+        std::size_t sharded = 0;
+        for (const CandidateEnumerator::Shard &shard :
+                 enumerator.planShards()) {
+            enumerator.visitShard(
+                shard, [&](CandidateExecution &cand,
+                           const CandidateEnumerator::StagedInfo &info) {
+                    EXPECT_EQ(info.coherent, internallyCoherent(cand))
+                        << test->name << " shard " << shard.index;
+                    ++sharded;
+                    return true;
+                });
+        }
+        EXPECT_EQ(staged, enumerator.count()) << test->name;
+        EXPECT_EQ(sharded, staged) << test->name;
     }
-    ASSERT_EQ(unsetenv("REX_PREFILTER_CHECK"), 0);
+}
+
+/** What a walk saw of one candidate: its reported position and its
+ *  witness relations. */
+struct Visit {
+    std::uint64_t shard;
+    std::uint64_t offset;
+    std::uint64_t combo;
+    bool coherent;
+    std::string witness;
+
+    bool
+    operator==(const Visit &other) const
+    {
+        return shard == other.shard && offset == other.offset &&
+               combo == other.combo && coherent == other.coherent &&
+               witness == other.witness;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &out, const Visit &visit)
+{
+    return out << "(" << visit.shard << ", " << visit.offset << ")";
+}
+
+/**
+ * The one fact the serial and pooled walks share: forEachStaged from a
+ * plan cursor visits exactly what visitShard visits over the rest of
+ * the plan (the first shard entered at the cursor's offset), and both
+ * report the same (shard, offset) positions. Checked from every shard
+ * boundary and from the middle of the largest shard.
+ */
+void
+expectCursorWalkMatchesShards(const LitmusTest &test)
+{
+    const CandidateEnumerator enumerator(test);
+    const std::vector<CandidateEnumerator::Shard> shards =
+        enumerator.planShards();
+    auto record = [](std::vector<Visit> &into) {
+        return [&into](CandidateExecution &cand,
+                       const CandidateEnumerator::StagedInfo &info) {
+            into.push_back({info.shard, info.offset, info.comboIndex,
+                            info.coherent,
+                            cand.rf.toString() + cand.co.toString() +
+                                cand.interruptWitness.toString()});
+            return true;
+        };
+    };
+
+    std::vector<CandidateEnumerator::Cursor> cursors;
+    std::size_t largest = 0;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+        cursors.push_back({s, 0});
+        if (shards[s].end - shards[s].begin >
+                shards[largest].end - shards[largest].begin)
+            largest = s;
+    }
+    if (!shards.empty()) {
+        const std::uint64_t size =
+            shards[largest].end - shards[largest].begin;
+        if (size > 1)
+            cursors.push_back({largest, size / 2});
+    }
+
+    for (const CandidateEnumerator::Cursor &cursor : cursors) {
+        std::vector<Visit> staged;
+        enumerator.forEachStaged(record(staged), nullptr, cursor);
+        std::vector<Visit> sharded;
+        for (std::size_t s = cursor.shard; s < shards.size(); ++s) {
+            CandidateEnumerator::Shard shard = shards[s];
+            if (s == cursor.shard)
+                shard.begin += cursor.offset;
+            enumerator.visitShard(shard, record(sharded));
+        }
+        ASSERT_FALSE(staged.empty()) << test.name;
+        EXPECT_EQ(staged.front().shard, cursor.shard) << test.name;
+        EXPECT_EQ(staged.front().offset, cursor.offset) << test.name;
+        EXPECT_EQ(staged, sharded)
+            << test.name << " from " << cursor.shard << ":"
+            << cursor.offset;
+    }
+}
+
+TEST(StagedParity, CursorWalkMatchesTheShardsFromTheSameCursor)
+{
+    for (const LitmusTest *test : TestRegistry::instance().all())
+        expectCursorWalkMatchesShards(*test);
+
+    // No builtin has a combination wider than one shard; this rexgen
+    // test does, so cursors also land on a later shard of a
+    // combination.
+    const LitmusTest wide =
+        parseLitmus(gen::generate(2089, gen::GenConfig{}).source);
+    const std::vector<CandidateEnumerator::Shard> shards =
+        CandidateEnumerator(wide).planShards();
+    bool spans = false;
+    for (std::size_t s = 1; s < shards.size(); ++s)
+        spans = spans || shards[s].combo == shards[s - 1].combo;
+    ASSERT_TRUE(spans) << "random seed 2089 no longer has a combination "
+                          "wider than one shard";
+    expectCursorWalkMatchesShards(wide);
 }
 
 TEST(StagedParity, ShardedMatchesSerial)
