@@ -1,11 +1,20 @@
 /**
  * @file
- * Performance microbenchmarks (google-benchmark) for the core engines:
- * relation closure, candidate enumeration, native model checking, cat
- * interpretation, and operational simulation. The native-vs-cat pair
- * quantifies the cost of interpretation (the paper's `repro` note about
- * the awkwardness of symbolic encodings: explicit enumeration keeps the
- * oracle fast).
+ * The per-layer benchmark ledger (google-benchmark): relation closure,
+ * candidate enumeration, the compiled checkTest (stop-at-first, full
+ * and sharded), the compiled per-candidate sweep, the cat interpreter,
+ * and the operational simulator and explorer. Apart from the cat
+ * interpreter, the harness cross-check's independent oracle, every
+ * benchmark times a path production runs. End-to-end workloads live
+ * in e2ebench.
+ *
+ * Record and compare with repetitions, so each side carries a median
+ * and a coefficient of variation:
+ *
+ *   build/bench/bench_perf_core --benchmark_repetitions=10 \
+ *       --benchmark_report_aggregates_only=true \
+ *       --benchmark_format=json > new.json
+ *   python3 scripts/compare_bench.py bench/perf_core_baseline.json new.json
  */
 
 #include <benchmark/benchmark.h>
@@ -55,7 +64,7 @@ BM_CandidateEnumeration(benchmark::State &state)
 BENCHMARK(BM_CandidateEnumeration);
 
 void
-BM_NativeModelCheck(benchmark::State &state)
+BM_Check(benchmark::State &state)
 {
     const LitmusTest &test =
         TestRegistry::instance().get("MP.EL1+dmb.sy+dataesrsvc");
@@ -63,10 +72,10 @@ BM_NativeModelCheck(benchmark::State &state)
         benchmark::DoNotOptimize(
             checkTest(test, ModelParams::base(), true).observable);
 }
-BENCHMARK(BM_NativeModelCheck);
+BENCHMARK(BM_Check);
 
 void
-BM_NativeModelCheckFull(benchmark::State &state)
+BM_CheckFull(benchmark::State &state)
 {
     const LitmusTest &test =
         TestRegistry::instance().get("MP.EL1+dmb.sy+dataesrsvc");
@@ -75,10 +84,10 @@ BM_NativeModelCheckFull(benchmark::State &state)
         benchmark::DoNotOptimize(
             checkTest(test, ModelParams::base(), false).candidates);
 }
-BENCHMARK(BM_NativeModelCheckFull);
+BENCHMARK(BM_CheckFull);
 
 void
-BM_NativeModelCheckSharded(benchmark::State &state)
+BM_CheckSharded(benchmark::State &state)
 {
     const LitmusTest &test =
         TestRegistry::instance().get("MP.EL1+dmb.sy+dataesrsvc");
@@ -92,7 +101,7 @@ BM_NativeModelCheckSharded(benchmark::State &state)
             checkTest(test, ModelParams::base(), false, true, &pool)
                 .candidates);
 }
-BENCHMARK(BM_NativeModelCheckSharded);
+BENCHMARK(BM_CheckSharded);
 
 void
 BM_CatModelCheck(benchmark::State &state)
@@ -119,29 +128,6 @@ BM_CatModelCheck(benchmark::State &state)
 }
 BENCHMARK(BM_CatModelCheck);
 
-void
-BM_NativeModelPerCandidate(benchmark::State &state)
-{
-    const LitmusTest &test =
-        TestRegistry::instance().get("MP.EL1+dmb.sy+dataesrsvc");
-    std::vector<CandidateExecution> candidates;
-    CandidateEnumerator enumerator(test);
-    enumerator.forEach([&](CandidateExecution &cand) {
-        candidates.push_back(cand);
-        return true;
-    });
-    for (auto _ : state) {
-        for (const CandidateExecution &cand : candidates) {
-            benchmark::DoNotOptimize(
-                checkConsistent(cand, ModelParams::base()).consistent);
-        }
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() *
-                                  candidates.size()));
-}
-BENCHMARK(BM_NativeModelPerCandidate);
-
 /** Coherent staged candidates of @p test (deep copies) with their
  *  combination indices, for per-candidate check benchmarks. */
 std::vector<std::pair<CandidateExecution, std::uint64_t>>
@@ -158,37 +144,6 @@ stagedCandidates(const LitmusTest &test)
         });
     return out;
 }
-
-void
-BM_StagedCheckSweep(benchmark::State &state)
-{
-    // The PR 2 staged interpreter, isolated per candidate: skeleton
-    // recomputed once per trace combination, checkConsistent on every
-    // coherent candidate. The compiled sweep below runs the identical
-    // workload through the catc fold + dispatch loop; their ratio is
-    // the per-candidate win of compilation.
-    const LitmusTest &test =
-        TestRegistry::instance().get("MP.EL1+dmb.sy+dataesrsvc");
-    const ModelParams params = ModelParams::base();
-    const auto candidates = stagedCandidates(test);
-    for (auto _ : state) {
-        std::optional<SkeletonRelations> skeleton;
-        std::uint64_t combo = 0;
-        for (const auto &[cand, comboIndex] : candidates) {
-            if (!skeleton || combo != comboIndex) {
-                skeleton = computeSkeleton(cand, params);
-                combo = comboIndex;
-            }
-            benchmark::DoNotOptimize(
-                checkConsistent(cand, params, *skeleton, true)
-                    .consistent);
-        }
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() *
-                                  candidates.size()));
-}
-BENCHMARK(BM_StagedCheckSweep);
 
 void
 BM_CompiledCheckSweep(benchmark::State &state)

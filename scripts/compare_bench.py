@@ -9,9 +9,10 @@ Usage:
     compare_bench.py OLD.json NEW.json [--threshold 0.9] [--filter REGEX]
     compare_bench.py --list FILE.json
 
-Only aggregate-free entries are compared (run_type == "iteration" or no
-run_type at all); aggregates like _mean/_median are skipped so plain and
---benchmark_repetitions outputs both work.
+Runs recorded with --benchmark_repetitions are compared on their
+_median aggregates, and each side's _cv (coefficient of variation) is
+printed next to it. Runs without repetitions are compared on their
+plain iteration entries, and their CV column reads "-".
 """
 
 import argparse
@@ -21,19 +22,32 @@ import sys
 
 
 def load(path):
+    """Map each benchmark name to (time, unit, cv or None)."""
     with open(path) as f:
         data = json.load(f)
-    out = {}
+    plain, median, cv = {}, {}, {}
     for entry in data.get("benchmarks", []):
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
         if entry.get("error_occurred"):
-            # e.g. a benchmark the benched server cannot serve (the
-            # PR6 baseline has no conditional-GET support); real_time
-            # is 0 and would poison every ratio.
+            # real_time is 0 and would poison every ratio.
             continue
-        out[entry["name"]] = float(entry["real_time"])
+        name = entry.get("run_name", entry["name"])
+        timing = (float(entry["real_time"]), entry.get("time_unit", "ns"))
+        if entry.get("run_type", "iteration") == "iteration":
+            plain[name] = timing
+        elif entry.get("aggregate_name") == "median":
+            median[name] = timing
+        elif entry.get("aggregate_name") == "cv":
+            cv[name] = float(entry["real_time"])
+    out = {}
+    for name, timing in plain.items():
+        out[name] = (*timing, None)
+    for name, timing in median.items():
+        out[name] = (*timing, cv.get(name))
     return out
+
+
+def fmt_cv(cv):
+    return "-" if cv is None else f"{cv * 100:.1f}%"
 
 
 def main():
@@ -58,8 +72,8 @@ def main():
 
     old = load(args.old)
     if args.list:
-        for name, t in sorted(old.items()):
-            print(f"{name:50s} {t:12.0f} ns")
+        for name, (t, unit, cv) in sorted(old.items()):
+            print(f"{name:50s} {t:12.0f} {unit:2s} cv {fmt_cv(cv)}")
         return 0
     if args.new is None:
         parser.error("NEW.json required unless --list")
@@ -80,12 +94,15 @@ def main():
             return 1
 
     width = max(len(n) for n in names)
-    print(f"{'benchmark':{width}s} {'old(ns)':>12s} {'new(ns)':>12s} "
-          f"{'speedup':>8s}")
+    print(f"{'benchmark':{width}s} {'old':>12s} {'old cv':>7s} "
+          f"{'new':>12s} {'new cv':>7s} {'unit':>4s} {'speedup':>8s}")
     worst = None
     for name in sorted(names):
-        ratio = old[name] / new[name] if new[name] else float("inf")
-        print(f"{name:{width}s} {old[name]:12.0f} {new[name]:12.0f} "
+        old_t, unit, old_cv = old[name]
+        new_t, _, new_cv = new[name]
+        ratio = old_t / new_t if new_t else float("inf")
+        print(f"{name:{width}s} {old_t:12.0f} {fmt_cv(old_cv):>7s} "
+              f"{new_t:12.0f} {fmt_cv(new_cv):>7s} {unit:>4s} "
               f"{ratio:7.2f}x")
         if worst is None or ratio < worst[1]:
             worst = (name, ratio)

@@ -292,13 +292,16 @@ walkSerial(const Walk &walk, Cursor start, std::uint64_t end)
  * merge consumes shards up to w (the w-th stopped at its witness) and
  * drops the rest — exactly the candidates the serial walk visits.
  *
+ * A candidate ceiling is a cut of the plan, not a race: the walk keeps
+ * the first ceiling positions from @p start, trims the shard that holds
+ * the cut and submits nothing past it, so its shards admit exactly the
+ * candidates the serial walk admits. No admit() then reaches the
+ * ceiling; when the cut fell short of the plan and no witness settled
+ * the walk, the Candidates axis is latched after the merge instead.
+ *
  * For the prefix reading the cursor shard runs on the calling thread
- * before the rest are submitted. A candidate ceiling is one count
- * shared by every shard; were the cursor shard to race the others for
- * it, they could spend all of it while the cursor shard is rolled
- * back, and the piece would hand back its own starting cursor. Running
- * it first means a piece always advances by min(ceiling, rest of the
- * cursor shard) candidates, or by at least one shard.
+ * before the rest are submitted, so a piece that a deadline or memory
+ * trip stops still advances through its cursor shard first.
  */
 WalkOutcome
 walkPooled(const Walk &walk, engine::ThreadPool &pool,
@@ -306,7 +309,25 @@ walkPooled(const Walk &walk, engine::ThreadPool &pool,
            std::uint64_t end)
 {
     noteStage(walk.governor, "enumerate");
-    const std::size_t count = static_cast<std::size_t>(end - start.shard);
+    // The first position past the ceiling, or {end, 0} when the
+    // ceiling (if any) covers every position from start. A walk has
+    // its governor to itself, so the whole ceiling is left.
+    Cursor cut{end, 0};
+    if (walk.governor && walk.governor->budget().maxCandidates != 0) {
+        std::uint64_t left = walk.governor->budget().maxCandidates;
+        for (std::uint64_t s = start.shard; s < end; ++s) {
+            const std::uint64_t from = s == start.shard ? start.offset : 0;
+            const std::uint64_t size = shards[s].end - shards[s].begin;
+            if (left < size - from) {
+                cut = {s, from + left};
+                break;
+            }
+            left -= size - from;
+        }
+    }
+    const bool cutShort = cut.shard < end;
+    const std::size_t count = static_cast<std::size_t>(
+        cut.shard - start.shard + (cut.offset > 0 ? 1 : 0));
     struct Slot {
         CheckResult result;
         bool witnessed = false;  //!< stopped at a witness
@@ -336,9 +357,14 @@ walkPooled(const Walk &walk, engine::ThreadPool &pool,
             return;
         }
         Shard shard = shards[start.shard + i];
+        const bool trimmed = start.shard + i == cut.shard;
+        if (trimmed)
+            shard.end = shard.begin + cut.offset;
         const std::uint64_t skip = i == 0 ? start.offset : 0;
         shard.begin += skip;
         StagedAccumulator acc = walk.accumulator();
+        // A trimmed shard that reached the cut is partial: the prefix
+        // reading resumes at the cut.
         slot.completed = walk.enumerator.visitShard(
             shard,
             [&](CandidateExecution &cand,
@@ -349,7 +375,7 @@ walkPooled(const Walk &walk, engine::ThreadPool &pool,
                 }
                 return acc.consume(cand, info);
             },
-            walk.token());
+            walk.token()) && !trimmed;
         slot.witnessed = walk.stopAtFirst && acc.result.witnesses > 0;
         if (slot.witnessed) {
             std::size_t seen = cutoff.load();
@@ -365,7 +391,7 @@ walkPooled(const Walk &walk, engine::ThreadPool &pool,
     };
 
     std::size_t first = 0;
-    if (walk.prefix)
+    if (walk.prefix && count > 0)
         runSlot(first++);
     std::vector<std::future<void>> futures;
     futures.reserve(count - first);
@@ -383,6 +409,7 @@ walkPooled(const Walk &walk, engine::ThreadPool &pool,
 
     WalkOutcome out;
     std::size_t merged = 0;
+    std::uint64_t nextOffset = 0;
     for (; merged < count; ++merged) {
         if (!slots[merged] || slots[merged]->cancelled)
             break;  // unsubmitted (budget) or post-witness suffix
@@ -393,14 +420,16 @@ walkPooled(const Walk &walk, engine::ThreadPool &pool,
             return out;
         }
         if (walk.prefix && !slot.completed) {
-            out.next = {start.shard + merged, slot.nextOffset};
-            return out;
+            nextOffset = slot.nextOffset;
+            break;
         }
     }
-    out.completed = merged == count;
+    out.completed = merged == count && !cutShort;
     // An unsubmitted or cancelled suffix without a witness at or below
     // it resumes at the start of its first shard.
-    out.next = {start.shard + merged, 0};
+    out.next = {start.shard + merged, nextOffset};
+    if (cutShort)
+        walk.governor->trip(engine::BudgetAxis::Candidates);
     return out;
 }
 
@@ -510,9 +539,6 @@ checkShardRange(const LitmusTest &test, const ModelParams &params,
             ? engine::budgetAxisName(governor->trippedAxis())
             : engine::budgetAxisName(engine::BudgetAxis::Cancelled);
     }
-    // Every range piece ends in its merge stage, serial or pooled: its
-    // counts are merged onto the token's prefix.
-    noteStage(governor, "merge");
     return out;
 }
 

@@ -19,7 +19,9 @@
  * parallel and merges them in order: counts, forbidding axiom/cycle,
  * and the first witness are identical to the serial half, including
  * under stop_at_first (shards past the earliest witnessing shard are
- * cancelled cooperatively and never merged). checkTest() walks from
+ * cancelled cooperatively and never merged), and under a candidate
+ * ceiling (the pooled half cuts its plan at the ceiling, so it admits
+ * the same candidates as the serial half). checkTest() walks from
  * the first candidate and keeps every admitted one; checkShardRange()
  * walks from a plan cursor and reads the resolved prefix, which is what
  * continuation tokens resume.

@@ -99,27 +99,12 @@ EngineConfig::fromEnv()
         config.cacheEnabled = false;
     if (const char *dir = std::getenv("REX_CACHE_DIR"))
         config.cacheDir = dir;
-    if (const char *cap = std::getenv("REX_CACHE_MAX_BYTES")) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(cap, &end, 10);
-        if (end && *end == '\0')
-            config.cacheMaxBytes = parsed;
-        else
-            warn(std::string("ignoring malformed REX_CACHE_MAX_BYTES='") +
-                 cap + "'");
-    }
+    config.cacheMaxBytes =
+        envUnsigned("REX_CACHE_MAX_BYTES", config.cacheMaxBytes);
     if (const char *results = std::getenv("REX_RESULTS"))
         config.resultsPath = results;
     config.workers = static_cast<unsigned>(
         envUnsigned("REX_WORKERS", config.workers));
-    config.crashQuarantine = static_cast<unsigned>(
-        envUnsigned("REX_CRASH_QUARANTINE", config.crashQuarantine));
-    config.killGraceMs = envUnsigned("REX_KILL_GRACE_MS",
-                                     config.killGraceMs);
-    config.crashLedgerMax = envUnsigned("REX_CRASH_LEDGER_MAX",
-                                        config.crashLedgerMax);
-    config.cacheMemMaxEntries = static_cast<std::size_t>(
-        envUnsigned("REX_CACHE_MEM_MAX", config.cacheMemMaxEntries));
     // jobs stays 0: resolved (REX_JOBS, then hardware concurrency) at
     // engine construction, so explicit EngineConfig{.jobs = n} wins.
     return config;
@@ -129,7 +114,7 @@ Engine::Engine(EngineConfig config)
     : _config(std::move(config)),
       _jobs(resolveJobs(_config.jobs)),
       _cache(_config.cacheEnabled, _config.cacheDir,
-             _config.cacheMaxBytes, _config.cacheMemMaxEntries)
+             _config.cacheMaxBytes)
 {
     // Workers fork before the pool spawns threads: the initial worker
     // processes are forked from a single-threaded engine.

@@ -21,10 +21,9 @@
  *   REX_RESULTS          JSONL results path
  *   REX_WORKERS          supervised worker processes; 0/unset = run
  *                        checks in-thread (the legacy path, default)
- *   REX_CRASH_QUARANTINE crashes before a (test, variant) key is
- *                        quarantined; 0 disables quarantine
- *   REX_KILL_GRACE_MS    grace past the cooperative deadline before a
- *                        supervised worker is SIGKILLed
+ *
+ * The supervision limits (crash quarantine, kill grace, crash-ledger
+ * cap) have no environment form: rexd sets them from its flags.
  */
 
 #ifndef REX_ENGINE_BATCH_HH
@@ -64,9 +63,6 @@ struct EngineConfig {
     /** On-disk cache byte cap (oldest-mtime eviction); 0 = unlimited. */
     std::uint64_t cacheMaxBytes = 0;
 
-    /** In-memory cache entry cap (LRU eviction); 0 = unbounded. */
-    std::size_t cacheMemMaxEntries = 65536;
-
     /** JSONL results path; empty = no results file. */
     std::string resultsPath;
 
@@ -94,9 +90,9 @@ struct EngineConfig {
      *  0 = unbounded. */
     std::uint64_t crashLedgerMax = 4096;
 
-    /** Defaults from REX_JOBS / REX_CACHE / REX_CACHE_DIR / REX_RESULTS
-     *  / REX_WORKERS / REX_CRASH_QUARANTINE / REX_KILL_GRACE_MS /
-     *  REX_CRASH_LEDGER_MAX / REX_CACHE_MEM_MAX. */
+    /** Defaults from REX_CACHE / REX_CACHE_DIR / REX_CACHE_MAX_BYTES /
+     *  REX_RESULTS / REX_WORKERS; REX_JOBS is resolved at engine
+     *  construction. */
     static EngineConfig fromEnv();
 };
 

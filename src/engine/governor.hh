@@ -21,11 +21,12 @@
  * granularity, never preemption.
  *
  * Axis semantics:
- *  - Candidates: exact and schedule-independent. admit() counts with
- *    one shared atomic, so exactly min(total, maxCandidates)
- *    candidates are admitted regardless of sharding — the partial
- *    count reported on a ceiling trip is deterministic across
- *    REX_JOBS values.
+ *  - Candidates: exact and schedule-independent. The admitted
+ *    candidates are the first min(total, maxCandidates) in enumeration
+ *    order under any REX_JOBS value: the serial walk stops at the
+ *    first admit() past the ceiling, and a pooled walk cuts its shard
+ *    plan at the ceiling before any shard runs, so its shards never
+ *    race for the shared count.
  *  - Deadline: checked against steady_clock on every admit; the trip
  *    is inherently schedule-dependent, but latency from deadline to
  *    stop is bounded by one candidate check per worker.
@@ -181,6 +182,14 @@ class Governor
      *         candidate is NOT counted as visited in that case).
      */
     bool admit();
+
+    /** The limits this governor enforces. */
+    const Budget &budget() const { return _budget; }
+
+    /** Latch @p axis as tripped (the first trip wins). A pooled check
+     *  that cut its plan at the candidate ceiling latches Candidates
+     *  here, since no admit() of it ever reached the ceiling. */
+    void trip(BudgetAxis axis) { _token.trip(axis); }
 
     /** True once any axis has tripped. */
     bool tripped() const { return _token.cancelled(); }

@@ -341,11 +341,17 @@ TEST(Resume, ChainsConvergeIdenticallyAcrossJobs1AndJobs4)
                     << name << "/" << variant << ": chain never split";
             }
 
-            // The parallel engine's intermediate split points are
-            // schedule-dependent (4 workers race the shared ceiling),
-            // but its stitched final must be byte-identical.
+            // The parallel engine cuts each pooled piece at the
+            // ceiling, so it splits where the serial engine does: the
+            // same tokens, and a byte-identical stitched final.
+            std::vector<engine::JobRecord> runC;
             engine::JobRecord c =
-                runChain(parallel, test, params, tiny, tiny);
+                runChain(parallel, test, params, tiny, tiny, &runC);
+            ASSERT_EQ(runA.size(), runC.size()) << name << "/" << variant;
+            for (std::size_t i = 0; i < runA.size(); ++i) {
+                EXPECT_EQ(runA[i].continuation, runC[i].continuation)
+                    << name << "/" << variant << " jobs=4 token " << i;
+            }
             EXPECT_EQ(stableJson(a), stableJson(b));
             EXPECT_EQ(stableJson(a), stableJson(c))
                 << name << "/" << variant << ": jobs=4 final differs";
@@ -373,11 +379,40 @@ TEST(Resume, ChainsConvergeIdenticallyAcrossJobs1AndJobs4)
     }
 }
 
+TEST(Resume, SerialPieceTripsReportTheEnumerateStage)
+{
+    // A serial piece stops inside its enumeration and merges no
+    // shards, so its trip reports the stage a serial whole-test trip
+    // reports: "enumerate", never "merge".
+    engine::Engine serial(plainConfig(1));
+    const LitmusTest &test = TestRegistry::instance().get("IRIW+addrs");
+    const ModelParams params = ModelParams::byName("base");
+    engine::Budget tiny;
+    tiny.maxCandidates = 3;
+
+    const engine::JobRecord whole = serial.verdictRecord(test, params, tiny);
+    ASSERT_EQ(whole.verdict, "ExhaustedBudget");
+    EXPECT_EQ(whole.stage, "enumerate");
+
+    engine::JobRecord piece =
+        serial.verdictRecordResumable(test, params, tiny);
+    ASSERT_EQ(piece.verdict, "ExhaustedBudget");
+    ASSERT_FALSE(piece.continuation.empty());
+    EXPECT_NE(piece.toJson().find("\"stage\":\"enumerate\""),
+              std::string::npos)
+        << piece.toJson();
+
+    engine::ContinuationState state;
+    ASSERT_TRUE(engine::parseContinuation(piece.continuation, state));
+    piece = serial.verdictRecordResumable(test, params, tiny, &state);
+    ASSERT_EQ(piece.verdict, "ExhaustedBudget");
+    EXPECT_EQ(piece.stage, "enumerate") << "resumed piece";
+}
+
 TEST(Resume, PooledPiecesUnderACeilingAlwaysAdvanceTheCursor)
 {
-    // Pooled shards race for one shared candidate ceiling; the piece
-    // must still move its cursor forward every hop, or a small ceiling
-    // turns a chain into an unbounded run of empty hops.
+    // Every pooled piece must move its cursor forward, or a small
+    // ceiling turns a chain into an unbounded run of empty hops.
     engine::Engine parallel(plainConfig(4));
     const LitmusTest &test = TestRegistry::instance().get("IRIW+addrs");
     const ModelParams params = ModelParams::byName("base");

@@ -362,6 +362,32 @@ TEST(VerdictCache, ZeroCapMeansUnlimited)
     EXPECT_GT(cache.diskBytes(), 0u);
 }
 
+TEST(VerdictCache, MemCapEvictsTheLeastRecentlyTouchedEntry)
+{
+    const LitmusTest &test = TestRegistry::instance().get("SB+pos");
+    const engine::VerdictKey keys[3] = {
+        engine::VerdictKey::make(test, ModelParams::base()),
+        engine::VerdictKey::make(test, ModelParams::exs()),
+        engine::VerdictKey::make(test, ModelParams::seaBoth()),
+    };
+    // In memory only, the evicted entry is gone; with a directory its
+    // on-disk copy survives the eviction.
+    for (const std::string &dir : {std::string(), scratchDir("mem_cap")}) {
+        SCOPED_TRACE(dir.empty() ? "in-memory" : "with a cache dir");
+        engine::VerdictCache cache(true, dir, 0, /*memMaxEntries=*/2);
+        cache.store(keys[0], engine::CachedVerdict{});
+        cache.store(keys[1], engine::CachedVerdict{});
+        ASSERT_TRUE(cache.lookup(keys[0]).has_value());  // touch the first
+        cache.store(keys[2], engine::CachedVerdict{});
+
+        EXPECT_EQ(cache.memEvictions(), 1u);
+        EXPECT_EQ(cache.entryCount(), 2u);
+        EXPECT_TRUE(cache.lookup(keys[0]).has_value());
+        EXPECT_TRUE(cache.lookup(keys[2]).has_value());
+        EXPECT_EQ(cache.lookup(keys[1]).has_value(), !dir.empty());
+    }
+}
+
 TEST(VerdictCache, DisabledCacheNeverHits)
 {
     engine::VerdictCache cache(false, "");

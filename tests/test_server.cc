@@ -900,6 +900,37 @@ TEST_F(LiveServer, ConditionalRequestAnswers304WithoutTheEngine)
     EXPECT_EQ(stale.status, 200);
     EXPECT_EQ(stale.headers["etag"], etag);
     EXPECT_FALSE(stale.body.empty());
+
+    // Skipping the engine is what makes a revalidation cheap: over one
+    // keep-alive connection, alternating cache hits and 304s, the
+    // median 304 must beat the median hit.
+    server::Client conn = client();
+    conn.setKeepAlive(true);
+    std::vector<std::int64_t> hitNanos;
+    std::vector<std::int64_t> revalidateNanos;
+    for (int i = 0; i < 100; ++i) {
+        const bool revalidate = i % 2 == 1;
+        const auto start = std::chrono::steady_clock::now();
+        server::ClientResponse r =
+            revalidate ? conn.post("/check", body, "application/json",
+                                   {{"If-None-Match", etag}})
+                       : conn.post("/check", body);
+        const auto nanos =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        ASSERT_EQ(r.status, revalidate ? 304 : 200) << "request " << i;
+        (revalidate ? revalidateNanos : hitNanos).push_back(nanos);
+    }
+    auto median = [](std::vector<std::int64_t> &nanos) {
+        std::sort(nanos.begin(), nanos.end());
+        return nanos[nanos.size() / 2];
+    };
+    const std::int64_t hit = median(hitNanos);
+    const std::int64_t revalidated = median(revalidateNanos);
+    EXPECT_LT(revalidated, hit)
+        << "median 304 " << revalidated << " ns, median cache hit "
+        << hit << " ns";
 }
 
 TEST_F(LiveServer, GetAliasServesBuiltinsOverTheWire)

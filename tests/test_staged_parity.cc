@@ -22,6 +22,7 @@
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
 #include "base/logging.hh"
+#include "engine/governor.hh"
 #include "engine/pool.hh"
 #include "gen/cycle.hh"
 #include "gen/generator.hh"
@@ -46,6 +47,7 @@ expectSameResult(const CheckResult &a, const CheckResult &b,
     EXPECT_EQ(a.unknownSideEffects, b.unknownSideEffects) << context;
     EXPECT_EQ(a.forbiddingAxiom, b.forbiddingAxiom) << context;
     EXPECT_EQ(a.forbiddingCycle, b.forbiddingCycle) << context;
+    EXPECT_EQ(a.exhaustedAxis, b.exhaustedAxis) << context;
     EXPECT_EQ(a.witness.has_value(), b.witness.has_value()) << context;
     if (a.witness && b.witness) {
         EXPECT_EQ(a.witness->rf, b.witness->rf) << context;
@@ -263,6 +265,38 @@ TEST(StagedParity, ShardedMatchesSerial)
                 checkTest(*test, params, true, true),
                 checkTest(*test, params, true, true, &pool),
                 context + " (sharded stop_at_first)");
+        }
+    }
+}
+
+TEST(StagedParity, PooledCeilingTripsMatchSerial)
+{
+    // A candidate ceiling admits the first maxCandidates candidates in
+    // enumeration order on any schedule: the pooled walk cuts its plan
+    // at the ceiling instead of letting its shards race for one count.
+    // Repeated, because a race would show up as a run-to-run change.
+    engine::ThreadPool pool(4);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        for (const LitmusTest *test : TestRegistry::instance().all()) {
+            for (const ModelParams &params : ModelParams::paperVariants()) {
+                for (const bool stop : {true, false}) {
+                    for (const std::uint64_t ceiling : {1u, 3u, 40u}) {
+                        engine::Budget budget;
+                        budget.maxCandidates = ceiling;
+                        engine::Governor serialGovernor(budget);
+                        engine::Governor pooledGovernor(budget);
+                        expectSameResult(
+                            checkTest(*test, params, stop, true, nullptr,
+                                      &serialGovernor),
+                            checkTest(*test, params, stop, true, &pool,
+                                      &pooledGovernor),
+                            test->name + " / " + params.name() +
+                                (stop ? " stop" : " full") +
+                                " ceiling " + std::to_string(ceiling) +
+                                " repeat " + std::to_string(repeat));
+                    }
+                }
+            }
         }
     }
 }
