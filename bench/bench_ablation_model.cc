@@ -101,26 +101,25 @@ main()
         const char *name;
         cat::CatModel model;
     };
-    std::string dir = cat::modelDir();
     std::vector<Variant> variants;
     variants.push_back({"full",
         cat::CatModel::fromSource(
-            modelSource(true, true, true, true, true), dir)});
+            modelSource(true, true, true, true, true))});
     variants.push_back({"-spec;CSE",
         cat::CatModel::fromSource(
-            modelSource(false, true, true, true, true), dir)});
+            modelSource(false, true, true, true, true))});
     variants.push_back({"-MSR;po;CSE",
         cat::CatModel::fromSource(
-            modelSource(true, false, true, true, true), dir)});
+            modelSource(true, false, true, true, true))});
     variants.push_back({"-CSE;po",
         cat::CatModel::fromSource(
-            modelSource(true, true, false, true, true), dir)});
+            modelSource(true, true, false, true, true))});
     variants.push_back({"-asyncob",
         cat::CatModel::fromSource(
-            modelSource(true, true, true, false, true), dir)});
+            modelSource(true, true, true, false, true))});
     variants.push_back({"-interrupt",
         cat::CatModel::fromSource(
-            modelSource(true, true, true, true, false), dir)});
+            modelSource(true, true, true, true, false))});
 
     const char *tests[] = {
         "MP+dmb.sy+ctrlsvc",         // needs speculative;[CSE]

@@ -154,7 +154,7 @@ BM_CompiledCheckSweep(benchmark::State &state)
     const auto candidates = stagedCandidates(test);
     // Compiled once per (variant, revision) — outside the timed loop,
     // exactly like the checker's per-check program fetch.
-    const auto program = catc::nativeStaged(params);
+    const auto program = catc::stagedProgram(params);
     std::optional<catc::FoldedProgram> folded;
     for (auto _ : state) {
         std::uint64_t combo = ~std::uint64_t{0};

@@ -57,7 +57,7 @@ fsyncParentDir(const std::string &path)
     const std::size_t slash = path.find_last_of('/');
     dir = slash == std::string::npos ? "." : path.substr(0, slash);
     if (dir.empty())
-        dir = "/";
+        dir.assign(1, '/');
     int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
     if (fd < 0) {
         warnOnce("fsync: cannot open directory", dir);

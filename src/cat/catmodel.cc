@@ -1,8 +1,5 @@
 #include "cat/catmodel.hh"
 
-#include <fstream>
-#include <sstream>
-
 #include "base/logging.hh"
 #include "cat/parser.hh"
 
@@ -10,34 +7,13 @@ namespace rex::cat {
 
 namespace {
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open cat file '" + path + "'");
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-std::string
-dirnameOf(const std::string &path)
-{
-    auto slash = path.find_last_of('/');
-    if (slash == std::string::npos)
-        return ".";
-    return path.substr(0, slash);
-}
-
 /**
- * Splice included files' statements in place of each `include`, in
+ * Splice the shipped files' statements in place of each `include`, in
  * order, recursively. Flattening once at load time means evaluation
- * (and compilation) never touches the disk again — previously every
- * evaluate() re-read and re-parsed the includes per candidate.
+ * and compilation never resolve an include again.
  */
 void
-flattenIncludes(CatFile &file, const std::string &dir, int depth)
+flattenIncludes(CatFile &file, int depth)
 {
     if (depth > 16)
         fatal("cat include nesting too deep (include cycle?)");
@@ -49,8 +25,8 @@ flattenIncludes(CatFile &file, const std::string &dir, int depth)
             continue;
         }
         CatFile included =
-            parseCat(readFile(dir + "/" + stmt.includePath));
-        flattenIncludes(included, dir, depth + 1);
+            parseCat(std::string(shippedText(stmt.includePath)));
+        flattenIncludes(included, depth + 1);
         for (Statement &inner : included.statements)
             flat.push_back(std::move(inner));
     }
@@ -73,44 +49,36 @@ flagsFor(const ModelParams &params)
     };
 }
 
-std::string
-modelDir()
+std::string_view
+shippedText(std::string_view name)
 {
-#ifdef REX_MODEL_DIR
-    return REX_MODEL_DIR;
-#else
-    return "models";
-#endif
-}
-
-std::string
-defaultModelPath()
-{
-    return modelDir() + "/aarch64-exceptions.cat";
+    for (const ShippedFile &file : shippedFiles()) {
+        if (file.name == name)
+            return file.text;
+    }
+    fatal("no shipped cat file '" + std::string(name) + "'");
 }
 
 CatModel
-CatModel::loadFile(const std::string &path)
-{
-    return fromSource(readFile(path), dirnameOf(path));
-}
-
-CatModel
-CatModel::fromSource(const std::string &source,
-                     const std::string &include_dir)
+CatModel::fromSource(std::string_view source)
 {
     CatModel model;
-    model._file = parseCat(source);
-    flattenIncludes(model._file, include_dir, 0);
-    model._includeDir = include_dir;
+    model._file = parseCat(std::string(source));
+    flattenIncludes(model._file, 0);
     return model;
+}
+
+CatModel
+CatModel::fromShipped(std::string_view name)
+{
+    return fromSource(shippedText(name));
 }
 
 const CatModel &
 CatModel::shipped()
 {
     static const CatModel *model =
-        new CatModel(loadFile(defaultModelPath()));
+        new CatModel(fromShipped("aarch64-exceptions.cat"));
     return *model;
 }
 
@@ -118,13 +86,9 @@ EvalResult
 CatModel::evaluate(const CandidateExecution &candidate,
                    const ModelParams &params) const
 {
-    // Includes were flattened at load time; keep a resolver anyway so
-    // a file handed to us with stray includes still evaluates.
-    std::string dir = _includeDir;
-    IncludeResolver resolver = [dir](const std::string &name) {
-        return readFile(dir + "/" + name);
-    };
-    Evaluator evaluator(candidate, flagsFor(params), resolver);
+    // Includes were flattened at load time, so the evaluator never
+    // needs a resolver.
+    Evaluator evaluator(candidate, flagsFor(params), {});
     return evaluator.evaluateFile(_file);
 }
 

@@ -5,15 +5,19 @@
  *
  * The repository ships the paper's Figure 9 model as
  * models/aarch64-exceptions.cat (with its cos.cat / arm-common.cat
- * includes); tests cross-validate it against the native implementation
- * over the entire litmus library.
+ * includes), embedded in the library at build time. The catc compiler
+ * lowers it into the production checker; this interpreter is the
+ * independent reference, and tests cross-validate both against the
+ * native implementation over the entire litmus library.
  */
 
 #ifndef REX_CAT_CATMODEL_HH
 #define REX_CAT_CATMODEL_HH
 
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "axiomatic/model.hh"
 #include "axiomatic/params.hh"
@@ -25,24 +29,32 @@ namespace rex::cat {
 /** The flag assignment a ModelParams induces for cat evaluation. */
 std::map<std::string, bool> flagsFor(const ModelParams &params);
 
-/** Directory holding the shipped .cat files. */
-std::string modelDir();
+/** One models/ file, embedded in the library at build time. */
+struct ShippedFile {
+    std::string_view name;  //!< file name, e.g. "cos.cat"
+    std::string_view text;  //!< its exact bytes
+};
 
-/** Path of the shipped exceptions model. */
-std::string defaultModelPath();
+/** Every shipped model file, sorted by name. Generated from
+ *  models/\*.cat by src/CMakeLists.txt, so no model path is ever
+ *  opened at run time. */
+std::span<const ShippedFile> shippedFiles();
 
-/** A parsed cat model bound to an include directory. */
+/** The embedded text of the shipped file @p name; fatal() when no
+ *  shipped file has that name. */
+std::string_view shippedText(std::string_view name);
+
+/** A parsed cat model; includes resolve against the shipped files. */
 class CatModel
 {
   public:
-    /** Load from a file; includes resolve relative to the file's dir. */
-    static CatModel loadFile(const std::string &path);
+    /** Parse @p source, splicing in its includes. */
+    static CatModel fromSource(std::string_view source);
 
-    /** Parse from source; includes resolve in @p include_dir. */
-    static CatModel fromSource(const std::string &source,
-                               const std::string &include_dir);
+    /** Parse the shipped file @p name ("aarch64-base.cat"). */
+    static CatModel fromShipped(std::string_view name);
 
-    /** The shipped aarch64-exceptions.cat. */
+    /** The shipped aarch64-exceptions.cat, parsed once per process. */
     static const CatModel &shipped();
 
     /** Model name from the leading string of the file. */
@@ -64,7 +76,6 @@ class CatModel
 
   private:
     CatFile _file;
-    std::string _includeDir;
 };
 
 } // namespace rex::cat

@@ -1,6 +1,8 @@
 #include "cat/lexer.hh"
 
 #include <cctype>
+#include <string_view>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -22,36 +24,28 @@ isIdentChar(char c)
 }
 
 TokKind
-keywordKind(const std::string &word)
+keywordKind(std::string_view word)
 {
-    if (word == "let")
-        return TokKind::KwLet;
-    if (word == "include")
-        return TokKind::KwInclude;
-    if (word == "acyclic")
-        return TokKind::KwAcyclic;
-    if (word == "irreflexive")
-        return TokKind::KwIrreflexive;
-    if (word == "empty")
-        return TokKind::KwEmpty;
-    if (word == "as")
-        return TokKind::KwAs;
-    if (word == "if")
-        return TokKind::KwIf;
-    if (word == "then")
-        return TokKind::KwThen;
-    if (word == "else")
-        return TokKind::KwElse;
-    if (word == "and")
-        return TokKind::KwAnd;
-    if (word == "rec")
-        return TokKind::KwRec;
-    if (word == "show")
-        return TokKind::KwShow;
-    if (word == "unshow")
-        return TokKind::KwUnshow;
-    if (word == "flag")
-        return TokKind::KwFlag;
+    static constexpr std::pair<std::string_view, TokKind> kKeywords[] = {
+        {"let", TokKind::KwLet},
+        {"include", TokKind::KwInclude},
+        {"acyclic", TokKind::KwAcyclic},
+        {"irreflexive", TokKind::KwIrreflexive},
+        {"empty", TokKind::KwEmpty},
+        {"as", TokKind::KwAs},
+        {"if", TokKind::KwIf},
+        {"then", TokKind::KwThen},
+        {"else", TokKind::KwElse},
+        {"and", TokKind::KwAnd},
+        {"rec", TokKind::KwRec},
+        {"show", TokKind::KwShow},
+        {"unshow", TokKind::KwUnshow},
+        {"flag", TokKind::KwFlag},
+    };
+    for (const auto &[keyword, kind] : kKeywords) {
+        if (word == keyword)
+            return kind;
+    }
     return TokKind::Ident;
 }
 
@@ -61,6 +55,7 @@ std::vector<Tok>
 tokenize(const std::string &source)
 {
     std::vector<Tok> tokens;
+    tokens.reserve(source.size() / 4);
     int line = 1;
     std::size_t i = 0;
     const std::size_t n = source.size();
@@ -131,7 +126,8 @@ tokenize(const std::string &source)
             // Identifiers may contain '-', but a trailing '-' belongs to
             // the next token (e.g. in "a -b" there is no such case in
             // practice; cat names like po-loc keep theirs).
-            push(keywordKind(word), word);
+            const TokKind kind = keywordKind(word);
+            push(kind, std::move(word));
             continue;
         }
         switch (c) {

@@ -1,5 +1,7 @@
 #include "catc/bytecode.hh"
 
+#include <string_view>
+
 #include "base/logging.hh"
 #include "base/strings.hh"
 
@@ -9,7 +11,7 @@ namespace {
 
 struct InputInfo {
     Input input;
-    const char *name;
+    std::string_view name;  //!< a literal, so data() is NUL-terminated
     bool isSet;
     bool isWitness;
 };
@@ -101,6 +103,36 @@ opName(OpCode code)
 
 } // namespace
 
+int
+operandsOf(const Op &op, std::uint32_t out[3])
+{
+    switch (op.code) {
+      case OpCode::LoadInput:
+      case OpCode::ZeroRel:
+      case OpCode::ZeroSet:
+        return 0;
+      case OpCode::Closure:
+      case OpCode::RtClosure:
+      case OpCode::OptionalRel:
+      case OpCode::InverseRel:
+      case OpCode::IdentityOn:
+      case OpCode::ComplementSet:
+      case OpCode::DomainOf:
+      case OpCode::RangeOf:
+        out[0] = op.a;
+        return 1;
+      case OpCode::Restricted:
+        out[0] = op.a;
+        out[1] = op.b;
+        out[2] = op.c;
+        return 3;
+      default:
+        out[0] = op.a;
+        out[1] = op.b;
+        return 2;
+    }
+}
+
 bool
 inputIsWitness(Input input)
 {
@@ -116,7 +148,7 @@ inputIsSet(Input input)
 const char *
 inputName(Input input)
 {
-    return info(input).name;
+    return info(input).name.data();
 }
 
 Input
@@ -196,29 +228,11 @@ Program::toString() const
             out += format(" %s",
                           op.a < static_cast<std::uint32_t>(Input::Count_)
                               ? inputName(input) : "?");
-        } else {
-            switch (op.code) {
-              case OpCode::ZeroRel:
-              case OpCode::ZeroSet:
-                break;
-              case OpCode::Closure:
-              case OpCode::RtClosure:
-              case OpCode::OptionalRel:
-              case OpCode::InverseRel:
-              case OpCode::IdentityOn:
-              case OpCode::ComplementSet:
-              case OpCode::DomainOf:
-              case OpCode::RangeOf:
-                out += format(" r%u", op.a);
-                break;
-              case OpCode::Restricted:
-                out += format(" r%u r%u r%u", op.a, op.b, op.c);
-                break;
-              default:
-                out += format(" r%u r%u", op.a, op.b);
-                break;
-            }
         }
+        std::uint32_t operands[3];
+        const int count = operandsOf(op, operands);
+        for (int j = 0; j < count; ++j)
+            out += format(" r%u", operands[j]);
         out += "\n";
     }
     for (const Check &check : checks) {

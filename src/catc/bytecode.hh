@@ -134,6 +134,13 @@ struct Op {
     std::uint32_t c = 0;
 };
 
+/**
+ * Store @p op's register operands in @p out, in a/b/c order, and
+ * return how many there are (LoadInput's a is an Input id, not a
+ * register, so it has none).
+ */
+int operandsOf(const Op &op, std::uint32_t out[3]);
+
 /** What a register holds; assigned to every op by verify(). */
 enum class RegKind : std::uint8_t { Rel, Set };
 

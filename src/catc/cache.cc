@@ -48,7 +48,7 @@ programId(const ModelParams &params)
 }
 
 std::shared_ptr<const Program>
-nativeStaged(const ModelParams &params)
+stagedProgram(const ModelParams &params)
 {
     const std::string id = programId(params);
     {
@@ -107,7 +107,7 @@ planForCheck(const ModelParams &params)
             return {it->second, &it->second->plan};
     }
     // Analyse outside the lock; first insert wins on a race.
-    auto entry = std::make_shared<const PlanEntry>(nativeStaged(params));
+    auto entry = std::make_shared<const PlanEntry>(stagedProgram(params));
     std::lock_guard<std::mutex> lock(gMutex);
     auto [it, inserted] = plans().emplace(id, std::move(entry));
     return {it->second, &it->second->plan};

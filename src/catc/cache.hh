@@ -30,30 +30,31 @@ namespace rex::catc {
 /** Process-wide compile/cache counters (rexd_model_compiles_total and
  *  friends). */
 struct CompileStats {
-    std::uint64_t compiles = 0; //!< compileNative() runs
+    std::uint64_t compiles = 0; //!< programs compiled
     std::uint64_t hits = 0;     //!< cache lookups served without compiling
     std::uint64_t misses = 0;   //!< cache lookups that had to compile
 };
 
 CompileStats compileStats();
 
-/** Cache key for @p params' native staged program. Covers every
+/** Cache key for @p params' staged program. Covers every
  *  ModelParams field and embeds engine::kModelRevision, so neither two
  *  models nor two revisions ever share a program. */
 std::string programId(const ModelParams &params);
 
 /**
- * The native staged program (no internal check — the enumerator's
- * coherence pre-filter covers it) for @p params, compiled on first use.
- * Never returns null.
+ * The staged checker's program for @p params: the shipped
+ * aarch64-exceptions.cat compiled without its internal check (the
+ * enumerator's coherence pre-filter covers it), on first use. Never
+ * returns null.
  */
-std::shared_ptr<const Program> nativeStaged(const ModelParams &params);
+std::shared_ptr<const Program> stagedProgram(const ModelParams &params);
 
 class FoldPlan;
 
 /**
  * The shared structural fold analysis (catc/exec.hh) of
- * nativeStaged(@p params), built on first use and cached beside the
+ * stagedProgram(@p params), built on first use and cached beside the
  * program; never null. Sharing the plan keeps per-shard fold setup
  * proportional to the constant ops, not the whole program analysis.
  */

@@ -1,36 +1,54 @@
 #include "catc/compile.hh"
 
-#include <array>
+#include <string_view>
 #include <unordered_map>
 
 #include "base/logging.hh"
+#include "cat/catmodel.hh"
 
 namespace rex::catc {
 
 namespace {
 
+constexpr std::uint32_t kNoReg = ~std::uint32_t(0);
+
 /**
- * Emits ops with value-numbering: every op is pure, so structurally
- * identical ops collapse to one register. This is what makes the
- * lowered clause structure "skeleton-shaped" — shared subexpressions
- * (po, the barrier classes, int) appear once no matter how many clauses
- * mention them.
+ * Emits ops with value numbering: every op is pure, so structurally
+ * identical ops collapse to one register. Shared subexpressions (po,
+ * the barrier classes, int) appear once no matter how many clauses
+ * mention them. The builder also records which registers depend on a
+ * witness input, fuses identity sequences into restrictions, and
+ * drops the ops no check reads when the program is finished.
  */
 class Builder
 {
   public:
+    Builder() : _slots(512, kNoReg) { _program.ops.reserve(192); }
+
     std::uint32_t
     emit(OpCode code, std::uint32_t a = 0, std::uint32_t b = 0,
          std::uint32_t c = 0)
     {
-        const Key key{static_cast<std::uint32_t>(code), a, b, c};
-        auto it = _memo.find(key);
-        if (it != _memo.end())
-            return it->second;
+        const Op op{code, a, b, c};
+        std::size_t slot = probe(op);
+        if (_slots[slot] != kNoReg)
+            return _slots[slot];
+        bool witness = false;
+        if (code == OpCode::LoadInput) {
+            witness = inputIsWitness(static_cast<Input>(a));
+        } else {
+            std::uint32_t operands[3];
+            const int count = operandsOf(op, operands);
+            for (int j = 0; j < count; ++j)
+                witness = witness || _witness[operands[j]];
+        }
         const auto reg =
             static_cast<std::uint32_t>(_program.ops.size());
-        _program.ops.push_back(Op{code, a, b, c});
-        _memo.emplace(key, reg);
+        _program.ops.push_back(op);
+        _witness.push_back(witness);
+        _slots[slot] = reg;
+        if (2 * _program.ops.size() > _slots.size())
+            rehash();
         return reg;
     }
 
@@ -40,26 +58,83 @@ class Builder
         return emit(OpCode::LoadInput, static_cast<std::uint32_t>(in));
     }
 
+    /** True when @p reg depends on rf, co or the interrupt witness. */
+    bool witness(std::uint32_t reg) const { return _witness[reg]; }
+
+    /** `a ; b`, with `[S]; r`, `r; [T]` and `[S]; r; [T]` fused into
+     *  one restriction op instead of a sequence through an identity. */
     std::uint32_t
-    unionAll(std::initializer_list<std::uint32_t> regs)
+    seq(std::uint32_t a, std::uint32_t b)
     {
-        rexAssert(regs.size() > 0, "catc: empty union");
-        auto it = regs.begin();
-        std::uint32_t acc = *it++;
-        for (; it != regs.end(); ++it)
-            acc = emit(OpCode::UnionRel, acc, *it);
-        return acc;
+        const Op lhs = _program.ops[a];
+        const Op rhs = _program.ops[b];
+        if (lhs.code == OpCode::IdentityOn) {
+            if (rhs.code == OpCode::RestrictRange)
+                return emit(OpCode::Restricted, rhs.a, lhs.a, rhs.b);
+            return emit(OpCode::RestrictDomain, b, lhs.a);
+        }
+        if (rhs.code == OpCode::IdentityOn) {
+            if (lhs.code == OpCode::RestrictDomain)
+                return emit(OpCode::Restricted, lhs.a, lhs.b, rhs.a);
+            return emit(OpCode::RestrictRange, a, rhs.a);
+        }
+        return emit(OpCode::Seq, a, b);
     }
 
     void
     check(Check::Kind kind, std::uint32_t reg, std::string name)
     {
+        // irreflexive r+ holds iff r is acyclic: checking r skips the
+        // closure, and the counterexample is a cycle of r rather than
+        // a reflexive event of r+.
+        if (kind == Check::Kind::Irreflexive &&
+                _program.ops[reg].code == OpCode::Closure) {
+            kind = Check::Kind::Acyclic;
+            reg = _program.ops[reg].a;
+        }
         _program.checks.push_back(Check{kind, reg, std::move(name)});
     }
 
+    /** Drop every op no check reads, renumber the rest with the
+     *  witness-independent ops first (each half in emission order, so
+     *  the folded prefix and the per-candidate tail are contiguous),
+     *  and verify the result. */
     Program
     finish()
     {
+        std::vector<Op> &ops = _program.ops;
+        std::vector<std::uint8_t> live(ops.size(), 0);
+        for (const Check &check : _program.checks)
+            live[check.reg] = 1;
+        std::uint32_t operands[3];
+        for (std::size_t i = ops.size(); i-- > 0;) {
+            if (!live[i])
+                continue;
+            const int count = operandsOf(ops[i], operands);
+            for (int j = 0; j < count; ++j)
+                live[operands[j]] = 1;
+        }
+        // A witness-independent op never reads a witness-dependent one,
+        // so operands still precede their ops.
+        std::vector<std::uint32_t> renumbered(ops.size(), kNoReg);
+        std::vector<Op> kept;
+        for (std::uint8_t witness : {0, 1}) {
+            for (std::size_t i = 0; i < ops.size(); ++i) {
+                if (!live[i] || _witness[i] != witness)
+                    continue;
+                Op op = ops[i];
+                const int count = operandsOf(op, operands);
+                std::uint32_t *fields[3] = {&op.a, &op.b, &op.c};
+                for (int j = 0; j < count; ++j)
+                    *fields[j] = renumbered[operands[j]];
+                renumbered[i] = static_cast<std::uint32_t>(kept.size());
+                kept.push_back(op);
+            }
+        }
+        ops = std::move(kept);
+        for (Check &check : _program.checks)
+            check.reg = renumbered[check.reg];
+
         const std::string error = verify(_program);
         rexAssert(error.empty(), "catc: compiler emitted an invalid "
                                  "program: " + error);
@@ -67,203 +142,71 @@ class Builder
     }
 
   private:
-    using Key = std::array<std::uint32_t, 4>;
-    struct KeyHash {
-        std::size_t
-        operator()(const Key &k) const
-        {
-            std::size_t h = 1469598103934665603ull;
-            for (std::uint32_t v : k) {
-                h ^= v;
-                h *= 1099511628211ull;
-            }
-            return h;
+    /** The value-numbering slot of @p op: the slot holding its
+     *  register, or the empty slot where it belongs. */
+    std::size_t
+    probe(const Op &op) const
+    {
+        std::size_t h = 1469598103934665603ull;
+        for (std::uint32_t v : {static_cast<std::uint32_t>(op.code), op.a,
+                                op.b, op.c}) {
+            h ^= v;
+            h *= 1099511628211ull;
         }
-    };
+        const std::size_t mask = _slots.size() - 1;
+        for (std::size_t slot = h & mask;; slot = (slot + 1) & mask) {
+            const std::uint32_t reg = _slots[slot];
+            if (reg == kNoReg)
+                return slot;
+            const Op &other = _program.ops[reg];
+            if (other.code == op.code && other.a == op.a &&
+                    other.b == op.b && other.c == op.c)
+                return slot;
+        }
+    }
+
+    void
+    rehash()
+    {
+        _slots.assign(2 * _slots.size(), kNoReg);
+        for (std::size_t reg = 0; reg < _program.ops.size(); ++reg)
+            _slots[probe(_program.ops[reg])] =
+                static_cast<std::uint32_t>(reg);
+    }
 
     Program _program;
-    std::unordered_map<Key, std::uint32_t, KeyHash> _memo;
+    std::vector<std::uint8_t> _witness;  //!< per op
+    /** Open-addressing value-numbering table of registers (kNoReg =
+     *  empty), at most half full. */
+    std::vector<std::uint32_t> _slots;
 };
 
-} // namespace
-
-Program
-compileNative(const ModelParams &params, bool include_internal)
-{
-    Builder b;
-
-    // Event-kind sets and the upwards-closed barrier classes, exactly
-    // as the native model's KindSets (axiomatic/model.cc) builds them.
-    const std::uint32_t reads = b.input(Input::R);
-    const std::uint32_t writes = b.input(Input::W);
-    const std::uint32_t mem = b.emit(OpCode::UnionSet, reads, writes);
-    const std::uint32_t dmbSy = b.input(Input::DmbSy);
-    const std::uint32_t dsbSy = b.input(Input::DsbSy);
-    const std::uint32_t dsbLd = b.input(Input::DsbLd);
-    const std::uint32_t dsbSt = b.input(Input::DsbSt);
-    std::uint32_t dmbLdClass =
-        b.emit(OpCode::UnionSet, b.input(Input::DmbLd), dmbSy);
-    dmbLdClass = b.emit(OpCode::UnionSet, dmbLdClass, dsbLd);
-    dmbLdClass = b.emit(OpCode::UnionSet, dmbLdClass, dsbSy);
-    std::uint32_t dmbStClass =
-        b.emit(OpCode::UnionSet, b.input(Input::DmbSt), dmbSy);
-    dmbStClass = b.emit(OpCode::UnionSet, dmbStClass, dsbSt);
-    dmbStClass = b.emit(OpCode::UnionSet, dmbStClass, dsbSy);
-    std::uint32_t dsbClass = b.emit(OpCode::UnionSet, dsbSy, dsbLd);
-    dsbClass = b.emit(OpCode::UnionSet, dsbClass, dsbSt);
-    const std::uint32_t isb = b.input(Input::Isb);
-    const std::uint32_t acqA = b.input(Input::A);
-    const std::uint32_t rel = b.input(Input::L);
-    const std::uint32_t acq =
-        b.emit(OpCode::UnionSet, acqA, b.input(Input::Q));
-    const std::uint32_t msr = b.input(Input::Msr);
-    const std::uint32_t takeIrq = b.input(Input::TakeInterrupt);
-
-    const std::uint32_t po = b.input(Input::Po);
-    const std::uint32_t addr = b.input(Input::Addr);
-    const std::uint32_t rmw = b.input(Input::Rmw);
-    const std::uint32_t internal = b.input(Input::Int);
-
-    // (* might-be speculatively executed *)
-    std::uint32_t spec = b.emit(OpCode::UnionRel, b.input(Input::Ctrl),
-                                b.emit(OpCode::Seq, addr, po));
-    if (params.seaR) {
-        spec = b.emit(OpCode::UnionRel, spec,
-                      b.emit(OpCode::RestrictDomain, po, reads));
-    }
-    if (params.seaW) {
-        spec = b.emit(OpCode::UnionRel, spec,
-                      b.emit(OpCode::RestrictDomain, po, writes));
-    }
-
-    // (* context-sync-events *)
-    std::uint32_t cse = isb;
-    if (params.entryIsCse())
-        cse = b.emit(OpCode::UnionSet, cse, b.input(Input::Te));
-    if (params.returnIsCse())
-        cse = b.emit(OpCode::UnionSet, cse, b.input(Input::Eret));
-    if (params.entryIsCse())
-        cse = b.emit(OpCode::UnionSet, cse, takeIrq);
-
-    // (* dependency-ordered-before *), minus the rfi tail.
-    const std::uint32_t addrData =
-        b.emit(OpCode::UnionRel, addr, b.input(Input::Data));
-    const std::uint32_t dobStatic = b.unionAll(
-        {addrData, b.emit(OpCode::RestrictRange, spec, writes),
-         b.emit(OpCode::RestrictRange, spec, isb)});
-
-    // (* barrier-ordered-before *)
-    const std::uint32_t bob = b.unionAll({
-        b.emit(OpCode::Restricted, po, reads, dmbLdClass),
-        b.emit(OpCode::Restricted, po, writes, dmbStClass),
-        b.emit(OpCode::Restricted, po, dmbStClass, writes),
-        b.emit(OpCode::Restricted, po, dmbLdClass, mem),
-        b.emit(OpCode::Restricted, po, rel, acqA),
-        b.emit(OpCode::Restricted, po, acq, mem),
-        b.emit(OpCode::Restricted, po, mem, rel),
-        b.emit(OpCode::RestrictDomain, po, dsbClass),
-    });
-
-    // (* contextually-ordered-before *)
-    const std::uint32_t ctxob = b.unionAll({
-        b.emit(OpCode::RestrictRange, spec,
-               b.emit(OpCode::UnionSet, msr, cse)),
-        b.emit(OpCode::Restricted, po, msr, cse),
-        b.emit(OpCode::RestrictDomain, po, cse),
-    });
-
-    // (* async-ordered-before *)
-    const std::uint32_t asyncob = b.unionAll({
-        b.emit(OpCode::RestrictRange, spec, takeIrq),
-        b.emit(OpCode::RestrictDomain, po, takeIrq),
-    });
-
-    std::uint32_t staticOb =
-        b.unionAll({dobStatic, rmw, bob, ctxob, asyncob});
-    // FEAT_ETS2: a barrier before translation faults (§3.3).
-    if (params.featEts2) {
-        staticOb = b.emit(
-            OpCode::UnionRel, staticOb,
-            b.emit(OpCode::RestrictRange, po, b.input(Input::Tf)));
-    }
-    // §7.5 GIC draft: DSBs order GIC effects with program order.
-    if (params.gicExtension) {
-        const std::uint32_t iio = b.input(Input::Iio);
-        const std::uint32_t gen = b.emit(
-            OpCode::RestrictRange,
-            b.emit(OpCode::Seq, b.emit(OpCode::InverseRel, iio), po),
-            dsbClass);
-        const std::uint32_t del = b.emit(
-            OpCode::Seq, b.emit(OpCode::RestrictDomain, po, dsbClass),
-            iio);
-        staticOb = b.unionAll({staticOb, gen, del});
-    }
-
-    // The witness-dependent tail: everything from here on references
-    // rf/co (and the interrupt witness), so it survives constant
-    // folding and runs per candidate.
-    const std::uint32_t rf = b.input(Input::Rf);
-    const std::uint32_t co = b.input(Input::Co);
-    const std::uint32_t fr = b.emit(
-        OpCode::Seq, b.emit(OpCode::InverseRel, rf), co);
-    const std::uint32_t rfi = b.emit(OpCode::InterRel, rf, internal);
-
-    if (include_internal) {
-        const std::uint32_t scLoc = b.unionAll(
-            {b.input(Input::PoLoc), fr, co, rf});
-        b.check(Check::Kind::Acyclic, scLoc, "internal");
-    }
-
-    std::uint32_t external = b.unionAll({
-        staticOb, fr, b.emit(OpCode::DiffRel, rf, internal),  // rfe
-        co, b.emit(OpCode::Seq, addrData, rfi),
-        b.emit(OpCode::Restricted, rfi, b.emit(OpCode::RangeOf, rmw),
-               acq),
-    });
-    if (params.gicExtension) {
-        external = b.emit(OpCode::UnionRel, external,
-                          b.input(Input::Interrupt));
-    }
-    b.check(Check::Kind::Acyclic, external, "external");
-
-    // Atomic: no intervening external write between an exclusive pair.
-    const std::uint32_t atomic = b.emit(
-        OpCode::InterRel, rmw,
-        b.emit(OpCode::Seq, b.emit(OpCode::DiffRel, fr, internal),
-               b.emit(OpCode::DiffRel, co, internal)));
-    b.check(Check::Kind::Empty, atomic, "atomic");
-
-    return b.finish();
-}
-
-namespace {
-
-/** A value during cat lowering: a register, or the polymorphic zero
- *  (materialized on demand with the interpreter's coercion rules). */
+/**
+ * A value during cat lowering: the polymorphic zero (materialised on
+ * demand with the interpreter's coercion rules), or a set or relation
+ * held as the union of a witness-independent part and a
+ * witness-dependent part, either of which may be absent. Carrying the
+ * split through unions folds the constant half of a clause like `ob`
+ * into one register, so only the witness half runs per candidate.
+ */
 struct Lowered {
     bool zero = true;
     bool isSet = false;
-    std::uint32_t reg = 0;
-
-    static Lowered
-    rel(std::uint32_t reg)
-    {
-        return Lowered{false, false, reg};
-    }
-
-    static Lowered
-    set(std::uint32_t reg)
-    {
-        return Lowered{false, true, reg};
-    }
+    std::uint32_t fixed = kNoReg;
+    std::uint32_t witness = kNoReg;
 };
 
 /** Recursive-descent lowering of cat expressions and statements. */
 class CatLowerer
 {
   public:
-    CatLowerer(const std::map<std::string, bool> &flags) : _flags(flags)
-    {}
+    /** @param skip_check name of a check to leave out ("" = none). */
+    CatLowerer(const std::map<std::string, bool> &flags,
+               std::string_view skip_check)
+        : _flags(flags), _skipCheck(skip_check)
+    {
+        _env.reserve(128);
+    }
 
     void
     lowerStatements(const std::vector<cat::Statement> &statements)
@@ -291,6 +234,8 @@ class CatLowerer
                 std::string name = stmt.checkName.empty()
                     ? ("check@" + std::to_string(stmt.line))
                     : stmt.checkName;
+                if (name == _skipCheck)
+                    break;
                 Lowered value = lower(*stmt.checkExpr);
                 Check::Kind kind = Check::Kind::Acyclic;
                 std::uint32_t reg = 0;
@@ -306,7 +251,7 @@ class CatLowerer
                   case Statement::CheckKind::Empty:
                     kind = Check::Kind::Empty;
                     // The interpreter coerces zero to a relation here.
-                    reg = value.isSet && !value.zero ? value.reg
+                    reg = value.isSet && !value.zero ? materialise(value)
                                                      : asRel(value);
                     break;
                 }
@@ -343,6 +288,33 @@ class CatLowerer
         return false;
     }
 
+    /** @p reg as a lowered value, filed under its witness half. */
+    Lowered
+    value(std::uint32_t reg, bool is_set) const
+    {
+        Lowered out;
+        out.zero = false;
+        out.isSet = is_set;
+        (_builder.witness(reg) ? out.witness : out.fixed) = reg;
+        return out;
+    }
+
+    Lowered rel(std::uint32_t reg) const { return value(reg, false); }
+    Lowered set(std::uint32_t reg) const { return value(reg, true); }
+
+    /** The one register holding non-zero @p value. */
+    std::uint32_t
+    materialise(const Lowered &value)
+    {
+        if (value.fixed == kNoReg)
+            return value.witness;
+        if (value.witness == kNoReg)
+            return value.fixed;
+        return _builder.emit(value.isSet ? OpCode::UnionSet
+                                         : OpCode::UnionRel,
+                             value.fixed, value.witness);
+    }
+
     std::uint32_t
     asRel(const Lowered &value)
     {
@@ -350,7 +322,7 @@ class CatLowerer
             return _builder.emit(OpCode::ZeroRel);
         if (value.isSet)
             fatal("catc type error: expected a relation, got a set");
-        return value.reg;
+        return materialise(value);
     }
 
     std::uint32_t
@@ -360,7 +332,7 @@ class CatLowerer
             return _builder.emit(OpCode::ZeroSet);
         if (!value.isSet)
             fatal("catc type error: expected a set, got a relation");
-        return value.reg;
+        return materialise(value);
     }
 
     /** The built-in (or derived built-in) named @p name, or nullopt. */
@@ -368,18 +340,15 @@ class CatLowerer
     builtin(const std::string &name)
     {
         const Input input = inputByName(name);
-        if (input != Input::Count_) {
-            const std::uint32_t reg = _builder.input(input);
-            return inputIsSet(input) ? Lowered::set(reg)
-                                     : Lowered::rel(reg);
-        }
+        if (input != Input::Count_)
+            return value(_builder.input(input), inputIsSet(input));
         // Derived built-ins, lowered like the evaluator's accessors.
         auto inter = [&](Input a, Input b) {
-            return Lowered::rel(_builder.emit(
+            return rel(_builder.emit(
                 OpCode::InterRel, _builder.input(a), _builder.input(b)));
         };
         auto diff = [&](Input a, Input b) {
-            return Lowered::rel(_builder.emit(
+            return rel(_builder.emit(
                 OpCode::DiffRel, _builder.input(a), _builder.input(b)));
         };
         auto fr = [&] {
@@ -398,27 +367,38 @@ class CatLowerer
         if (name == "coe")
             return diff(Input::Co, Input::Int);
         if (name == "fr")
-            return Lowered::rel(fr());
+            return rel(fr());
         if (name == "fri") {
-            return Lowered::rel(_builder.emit(
-                OpCode::InterRel, fr(), _builder.input(Input::Int)));
+            return rel(_builder.emit(OpCode::InterRel, fr(),
+                                     _builder.input(Input::Int)));
         }
         if (name == "fre") {
-            return Lowered::rel(_builder.emit(
-                OpCode::DiffRel, fr(), _builder.input(Input::Int)));
+            return rel(_builder.emit(OpCode::DiffRel, fr(),
+                                     _builder.input(Input::Int)));
         }
         if (name == "ext") {
             const std::uint32_t universe =
                 _builder.input(Input::Universe);
             const std::uint32_t all =
                 _builder.emit(OpCode::Cartesian, universe, universe);
-            return Lowered::rel(_builder.emit(
+            return rel(_builder.emit(
                 OpCode::DiffRel,
                 _builder.emit(OpCode::DiffRel, all,
                               _builder.input(Input::Int)),
                 _builder.input(Input::Id)));
         }
         return std::nullopt;
+    }
+
+    /** Union of two optional halves. */
+    std::uint32_t
+    unite(OpCode code, std::uint32_t a, std::uint32_t b)
+    {
+        if (a == kNoReg)
+            return b;
+        if (b == kNoReg)
+            return a;
+        return _builder.emit(code, a, b);
     }
 
     Lowered
@@ -433,8 +413,10 @@ class CatLowerer
             auto it = _env.find(expr.name);
             if (it != _env.end())
                 return it->second;
+            // Built-ins are looked up once; a later let rebinds the
+            // name as usual.
             if (auto value = builtin(expr.name))
-                return *value;
+                return _env[expr.name] = *value;
             fatal("catc: unbound name '" + expr.name + "' at line " +
                   std::to_string(expr.line));
           }
@@ -455,42 +437,50 @@ class CatLowerer
                 fatal("catc type error: mixing a set and a relation at "
                       "line " + std::to_string(expr.line));
             }
-            OpCode code;
-            if (anySet) {
-                code = expr.kind == Expr::Kind::Union
-                           ? OpCode::UnionSet
-                           : expr.kind == Expr::Kind::Inter
-                                 ? OpCode::InterSet : OpCode::DiffSet;
-                return Lowered::set(_builder.emit(code, asSet(lhs),
-                                                  asSet(rhs)));
+            if (expr.kind == Expr::Kind::Union) {
+                if (lhs.zero && rhs.zero)
+                    return rel(_builder.emit(OpCode::ZeroRel));
+                if (lhs.zero)
+                    return rhs;
+                if (rhs.zero)
+                    return lhs;
+                const OpCode code =
+                    anySet ? OpCode::UnionSet : OpCode::UnionRel;
+                Lowered out = lhs;
+                out.fixed = unite(code, lhs.fixed, rhs.fixed);
+                out.witness = unite(code, lhs.witness, rhs.witness);
+                return out;
             }
-            code = expr.kind == Expr::Kind::Union
-                       ? OpCode::UnionRel
-                       : expr.kind == Expr::Kind::Inter
-                             ? OpCode::InterRel : OpCode::DiffRel;
-            return Lowered::rel(_builder.emit(code, asRel(lhs),
-                                              asRel(rhs)));
+            if (anySet) {
+                const OpCode code = expr.kind == Expr::Kind::Inter
+                                        ? OpCode::InterSet
+                                        : OpCode::DiffSet;
+                return set(_builder.emit(code, asSet(lhs), asSet(rhs)));
+            }
+            const OpCode code = expr.kind == Expr::Kind::Inter
+                                    ? OpCode::InterRel
+                                    : OpCode::DiffRel;
+            return rel(_builder.emit(code, asRel(lhs), asRel(rhs)));
           }
 
           case Expr::Kind::Seq: {
             Lowered lhs = lower(*expr.lhs);
             Lowered rhs = lower(*expr.rhs);
-            return Lowered::rel(_builder.emit(OpCode::Seq, asRel(lhs),
-                                              asRel(rhs)));
+            return rel(_builder.seq(asRel(lhs), asRel(rhs)));
           }
 
           case Expr::Kind::Closure:
-            return Lowered::rel(_builder.emit(OpCode::Closure,
-                                              asRel(lower(*expr.lhs))));
+            return rel(_builder.emit(OpCode::Closure,
+                                     asRel(lower(*expr.lhs))));
           case Expr::Kind::RtClosure:
-            return Lowered::rel(_builder.emit(OpCode::RtClosure,
-                                              asRel(lower(*expr.lhs))));
+            return rel(_builder.emit(OpCode::RtClosure,
+                                     asRel(lower(*expr.lhs))));
           case Expr::Kind::Optional:
-            return Lowered::rel(_builder.emit(OpCode::OptionalRel,
-                                              asRel(lower(*expr.lhs))));
+            return rel(_builder.emit(OpCode::OptionalRel,
+                                     asRel(lower(*expr.lhs))));
           case Expr::Kind::Inverse:
-            return Lowered::rel(_builder.emit(OpCode::InverseRel,
-                                              asRel(lower(*expr.lhs))));
+            return rel(_builder.emit(OpCode::InverseRel,
+                                     asRel(lower(*expr.lhs))));
 
           case Expr::Kind::Complement: {
             Lowered value = lower(*expr.lhs);
@@ -498,13 +488,13 @@ class CatLowerer
                 fatal("catc: '~' on a relation is unsupported (line " +
                       std::to_string(expr.line) + ")");
             }
-            return Lowered::set(_builder.emit(OpCode::ComplementSet,
-                                              asSet(value)));
+            return set(_builder.emit(OpCode::ComplementSet,
+                                     asSet(value)));
           }
 
           case Expr::Kind::Bracket:
-            return Lowered::rel(_builder.emit(OpCode::IdentityOn,
-                                              asSet(lower(*expr.lhs))));
+            return rel(_builder.emit(OpCode::IdentityOn,
+                                     asSet(lower(*expr.lhs))));
 
           case Expr::Kind::If:
             return evalCond(*expr.cond) ? lower(*expr.lhs)
@@ -512,14 +502,10 @@ class CatLowerer
 
           case Expr::Kind::App: {
             Lowered arg = lower(*expr.lhs);
-            if (expr.name == "range") {
-                return Lowered::set(_builder.emit(OpCode::RangeOf,
-                                                  asRel(arg)));
-            }
-            if (expr.name == "domain") {
-                return Lowered::set(_builder.emit(OpCode::DomainOf,
-                                                  asRel(arg)));
-            }
+            if (expr.name == "range")
+                return set(_builder.emit(OpCode::RangeOf, asRel(arg)));
+            if (expr.name == "domain")
+                return set(_builder.emit(OpCode::DomainOf, asRel(arg)));
             fatal("catc: unknown function '" + expr.name +
                   "' at line " + std::to_string(expr.line));
           }
@@ -528,11 +514,21 @@ class CatLowerer
     }
 
     const std::map<std::string, bool> &_flags;
+    std::string_view _skipCheck;
     Builder _builder;
-    std::map<std::string, Lowered> _env;
+    std::unordered_map<std::string, Lowered> _env;
 };
 
 } // namespace
+
+Program
+compileNative(const ModelParams &params, bool include_internal)
+{
+    const std::map<std::string, bool> flags = cat::flagsFor(params);
+    CatLowerer lowerer(flags, include_internal ? "" : "internal");
+    lowerer.lowerStatements(cat::CatModel::shipped().file().statements);
+    return lowerer.finish();
+}
 
 CatCompileResult
 compileCat(const cat::CatFile &file,
@@ -540,7 +536,7 @@ compileCat(const cat::CatFile &file,
 {
     CatCompileResult result;
     try {
-        CatLowerer lowerer(flags);
+        CatLowerer lowerer(flags, "");
         lowerer.lowerStatements(file.statements);
         result.program = lowerer.finish();
     } catch (const FatalError &err) {

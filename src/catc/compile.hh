@@ -1,13 +1,20 @@
 /**
  * @file
- * The cat-model compilers: lower either the native Figure 9 clause
- * structure or a parsed .cat AST into clause bytecode (bytecode.hh).
+ * The cat-model compiler: lower a parsed .cat AST into clause bytecode
+ * (bytecode.hh). Production programs come from the shipped
+ * models/aarch64-exceptions.cat, embedded in the library.
  *
- * Both compilers bake the model parameters in at compile time — `if
- * "FLAG"` expressions and params-conditioned clauses are resolved
- * during lowering, never dispatched at runtime — and CSE-deduplicate
- * identical ops, so a program is compiled once per (variant,
- * model-revision) and reused across every test and candidate.
+ * Model parameters are baked in at compile time — `if "FLAG"`
+ * expressions are resolved during lowering, never dispatched at
+ * runtime — and identical ops are value-numbered into one register,
+ * so a program is compiled once per (variant, model-revision) and
+ * reused across every test and candidate. Four generic passes keep the
+ * lowered program as small as a hand-written one (docs/COMPILER.md):
+ * `irreflexive r+` checks `acyclic r`; `[S]; r; [T]` and its one-sided
+ * forms become one restriction op; unions keep their
+ * witness-independent and witness-dependent halves apart, so the
+ * constant half folds into one register; and ops no check reads are
+ * dropped.
  */
 
 #ifndef REX_CATC_COMPILE_HH
@@ -24,10 +31,10 @@
 namespace rex::catc {
 
 /**
- * Compile the native model (src/axiomatic/model.cc's clause structure)
- * for @p params. The resulting program's checks are named exactly like
- * checkConsistent's axioms ("internal", "external", "atomic") and
- * produce the same verdicts and the same cycles.
+ * Compile the shipped aarch64-exceptions.cat for @p params. The
+ * program's checks are named like checkConsistent's axioms
+ * ("internal", "external", "atomic") and produce the same verdicts and
+ * the same cycles.
  *
  * @param include_internal emit the internal (SC-per-location) check;
  *        the staged checker omits it because the enumerator's coherence
@@ -49,7 +56,8 @@ struct CatCompileResult {
  * non-recursive lets, all expression forms, and acyclic / irreflexive /
  * empty checks. `let rec`, `include` (flatten first — CatModel does at
  * load), and `flag` diagnostics are rejected with an explanatory error;
- * callers fall back to the interpreter.
+ * callers fall back to the interpreter. A compiled `irreflexive r+`
+ * reports a cycle of r where the interpreter reports a 1-cycle.
  */
 CatCompileResult compileCat(const cat::CatFile &file,
                             const std::map<std::string, bool> &flags);

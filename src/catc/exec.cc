@@ -7,42 +7,6 @@
 
 namespace rex::catc {
 
-namespace {
-
-/** Operand registers of @p op (LoadInput's a is an input id, not a
- *  register). */
-int
-operandsOf(const Op &op, std::uint32_t out[3])
-{
-    switch (op.code) {
-      case OpCode::LoadInput:
-      case OpCode::ZeroRel:
-      case OpCode::ZeroSet:
-        return 0;
-      case OpCode::Closure:
-      case OpCode::RtClosure:
-      case OpCode::OptionalRel:
-      case OpCode::InverseRel:
-      case OpCode::IdentityOn:
-      case OpCode::ComplementSet:
-      case OpCode::DomainOf:
-      case OpCode::RangeOf:
-        out[0] = op.a;
-        return 1;
-      case OpCode::Restricted:
-        out[0] = op.a;
-        out[1] = op.b;
-        out[2] = op.c;
-        return 3;
-      default:
-        out[0] = op.a;
-        out[1] = op.b;
-        return 2;
-    }
-}
-
-} // namespace
-
 FoldPlan::FoldPlan(const Program &program) : _program(&program)
 {
     rexAssert(program.kinds.size() == program.ops.size(),

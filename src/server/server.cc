@@ -545,7 +545,6 @@ RexServer::dispatch(Conn &conn, HttpRequest request)
     HttpResponse fast;
     if (_service.tryNotModified(request, fast)) {
         slot.response = std::move(fast);
-        slot.headHasBody = true;
         slot.done = true;
         flushSlots(conn);
         return;
@@ -586,7 +585,6 @@ RexServer::dispatch(Conn &conn, HttpRequest request)
             std::to_string(_config.retryAfterSeconds);
         _metrics.countResponse(503);
         slot.response = std::move(response);
-        slot.headHasBody = true;
         slot.done = true;
         flushSlots(conn);
         return;
@@ -595,7 +593,6 @@ RexServer::dispatch(Conn &conn, HttpRequest request)
     // Loop fast path 2: /metrics, /healthz, 404s, 405s — no engine
     // work, answered inline.
     slot.response = _service.handle(request);
-    slot.headHasBody = true;
     slot.done = true;
     flushSlots(conn);
 }
@@ -614,7 +611,6 @@ RexServer::enqueueSynthetic(Conn &conn, HttpResponse response,
     ResponseSlot &slot = conn.slots.back();
     slot.keepAlive = false;
     slot.response = std::move(response);
-    slot.headHasBody = true;
     slot.done = true;
     flushSlots(conn);
 }
@@ -632,8 +628,6 @@ RexServer::flushSlots(Conn &conn)
             closeConn(conn);
             return;
         }
-        if (!slot.headHasBody)
-            slot.response.body = std::move(slot.body);
         bool keep_alive = slot.keepAlive && !conn.closeAfterFlush &&
                           !_loopDraining;
         conn.out +=
@@ -805,39 +799,13 @@ RexServer::handlerLoop()
         }
 
         ++_metrics.inflight;
-        const std::uint64_t conn_id = job.connId;
-        const std::uint64_t seq = job.seq;
-        std::string streamed;
-        HttpResponse head = _service.handleCheckRoute(
-            job.request, [&](const std::string &chunk) {
-                streamed += chunk;
-                Completion completion;
-                completion.connId = conn_id;
-                completion.seq = seq;
-                completion.chunk = chunk;
-                {
-                    std::lock_guard<std::mutex> lock(_completionMutex);
-                    _completions.push_back(std::move(completion));
-                }
-                char byte = 1;
-                [[maybe_unused]] ssize_t n =
-                    ::write(_wakeWriteFd, &byte, 1);
-            });
-
-        Completion fin;
-        fin.connId = conn_id;
-        fin.seq = seq;
-        fin.final = true;
-        // When the streamed chunks are exactly the body, ship the head
-        // alone — the loop already has the bytes. Error paths (whose
-        // body is not the streamed JSONL) ship theirs in the head.
-        fin.headHasBody = head.body != streamed;
-        if (!fin.headHasBody)
-            head.body.clear();
-        fin.head = std::move(head);
+        Completion completion;
+        completion.connId = job.connId;
+        completion.seq = job.seq;
+        completion.response = _service.handleCheckRoute(job.request);
         {
             std::lock_guard<std::mutex> lock(_completionMutex);
-            _completions.push_back(std::move(fin));
+            _completions.push_back(std::move(completion));
         }
         char byte = 1;
         [[maybe_unused]] ssize_t n = ::write(_wakeWriteFd, &byte, 1);
@@ -873,14 +841,7 @@ RexServer::applyCompletions()
         if (index >= conn.slots.size())
             continue;
         ResponseSlot &slot = conn.slots[index];
-        if (!completion.final) {
-            slot.body += completion.chunk;
-            continue;
-        }
-        slot.response = std::move(completion.head);
-        slot.headHasBody = completion.headHasBody;
-        if (slot.headHasBody)
-            slot.body.clear();
+        slot.response = std::move(completion.response);
         slot.done = true;
         touched.push_back(conn.id);
     }

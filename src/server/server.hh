@@ -14,8 +14,8 @@
  * answered on the loop; /check work is never run there. Cache-missing
  * checks go onto a bounded job queue drained by handler threads, which
  * run the shared CheckService (and therefore the one long-lived
- * Engine), streaming each verdict record back to the loop through a
- * wakeup-pipe completion queue as soon as it exists.
+ * Engine) and post each finished response back to the loop through a
+ * wakeup-pipe completion queue.
  *
  * Deadlines hang off a one-second-granularity timer wheel with lazy
  * deletion: a connection stalled mid-request gets 408 (the slow-loris
@@ -152,9 +152,7 @@ class RexServer
     struct ResponseSlot {
         bool done = false;       //!< response complete, may flush
         bool keepAlive = true;   //!< the request's Connection wish
-        HttpResponse response;   //!< head; body streams into `body`
-        std::string body;        //!< accumulated JSONL chunks
-        bool headHasBody = false;  //!< response.body is authoritative
+        HttpResponse response;
     };
 
     /** Per-connection state, owned by the loop thread. */
@@ -185,15 +183,11 @@ class RexServer
         HttpRequest request;
     };
 
-    /** One handler → loop message (a streamed chunk or the final
-     *  response head). */
+    /** One handler → loop message: a finished /check response. */
     struct Completion {
         std::uint64_t connId = 0;
         std::uint64_t seq = 0;
-        std::string chunk;
-        bool final = false;
-        HttpResponse head;        //!< valid when final
-        bool headHasBody = false; //!< head.body is the whole body
+        HttpResponse response;
     };
 
     void loop();

@@ -187,16 +187,8 @@ clampLimit(std::int64_t requested, std::uint64_t cap)
 
 } // namespace
 
-std::string
-CheckService::runCheck(const CheckRequest &request)
-{
-    return runCheckStreaming(request).body;
-}
-
 CheckOutcome
-CheckService::runCheckStreaming(
-    const CheckRequest &request,
-    const std::function<void(const std::string &)> &onChunk)
+CheckService::runCheck(const CheckRequest &request)
 {
     if (request.sleepMs > 0) {
         std::this_thread::sleep_for(
@@ -252,7 +244,7 @@ CheckService::runCheckStreaming(
         // timed; after the first request per variant this is a cache
         // hit, so the histogram isolates actual compile cost.
         auto compile_start = std::chrono::steady_clock::now();
-        catc::nativeStaged(ModelParams::byName(variant));
+        catc::stagedProgram(ModelParams::byName(variant));
         _metrics.stageCompile.observe(microsSince(compile_start));
         auto check_start = std::chrono::steady_clock::now();
         engine::JobRecord record = _engine.verdictRecord(
@@ -280,11 +272,8 @@ CheckService::runCheckStreaming(
         } else {
             ++_metrics.verdictsForbidden;
         }
-        std::string chunk = record.toJson();
-        chunk += '\n';
-        if (onChunk)
-            onChunk(chunk);
-        outcome.body += chunk;
+        outcome.body += record.toJson();
+        outcome.body += '\n';
     }
     return outcome;
 }
@@ -399,26 +388,34 @@ CheckService::tryNotModified(const HttpRequest &request,
     HttpResponse error;
     if (!buildCheckRequest(request, check, error))
         return false;  // the full handler path reproduces the error
-    std::string etag =
+    const std::string etag =
         verdictETag(check.canonicalKey(), engine::kModelRevision);
-    if (!etagMatches(validator->second, etag))
+    if (!notModified(request, etag, out))
         return false;
-
     ++_metrics.requestsCheck;
+    _metrics.countResponse(304);
+    return true;
+}
+
+bool
+CheckService::notModified(const HttpRequest &request,
+                          const std::string &etag, HttpResponse &out)
+{
+    auto validator = request.headers.find("if-none-match");
+    if (validator == request.headers.end() ||
+            !etagMatches(validator->second, etag))
+        return false;
     ++_metrics.http304;
     out = HttpResponse();
     out.status = 304;
     out.extraHeaders["ETag"] = etag;
     out.extraHeaders["Cache-Control"] =
         format("public, max-age=%d", _cacheMaxAgeSeconds);
-    _metrics.countResponse(304);
     return true;
 }
 
 HttpResponse
-CheckService::handleCheck(
-    const HttpRequest &request,
-    const std::function<void(const std::string &)> &onChunk)
+CheckService::handleCheck(const HttpRequest &request)
 {
     auto start = std::chrono::steady_clock::now();
     CheckRequest check;
@@ -428,32 +425,24 @@ CheckService::handleCheck(
 
     std::string etag =
         verdictETag(check.canonicalKey(), engine::kModelRevision);
-    std::string cacheable =
-        format("public, max-age=%d", _cacheMaxAgeSeconds);
 
     // Conditional request whose validator still matches: answer from
     // the ETag alone. (The daemon short-circuits this on its event
     // loop via tryNotModified(); this covers --direct and tests that
     // call handle() straight.)
-    auto validator = request.headers.find("if-none-match");
-    if (validator != request.headers.end() &&
-            etagMatches(validator->second, etag)) {
-        ++_metrics.http304;
-        HttpResponse response;
-        response.status = 304;
-        response.extraHeaders["ETag"] = etag;
-        response.extraHeaders["Cache-Control"] = cacheable;
-        return response;
-    }
-
     HttpResponse response;
+    if (notModified(request, etag, response))
+        return response;
+
     try {
-        CheckOutcome outcome = runCheckStreaming(check, onChunk);
+        CheckOutcome outcome = runCheck(check);
         response.body = std::move(outcome.body);
         response.contentType = "application/x-ndjson";
         response.extraHeaders["ETag"] = etag;
         response.extraHeaders["Cache-Control"] =
-            outcome.deterministic ? cacheable : "no-store";
+            outcome.deterministic
+                ? format("public, max-age=%d", _cacheMaxAgeSeconds)
+                : "no-store";
     } catch (const engine::ContinuationRefused &err) {
         // A stale or tampered continuation token: well-formed request,
         // conflicting state.
@@ -471,9 +460,7 @@ CheckService::handleCheck(
 }
 
 HttpResponse
-CheckService::handleCheckRoute(
-    const HttpRequest &request,
-    const std::function<void(const std::string &)> &onChunk)
+CheckService::handleCheckRoute(const HttpRequest &request)
 {
     HttpResponse response;
     const bool alias = request.path != "/check";
@@ -485,7 +472,7 @@ CheckService::handleCheckRoute(
         response.extraHeaders["Allow"] = wanted;
     } else {
         ++_metrics.requestsCheck;
-        response = handleCheck(request, onChunk);
+        response = handleCheck(request);
     }
     _metrics.countResponse(response.status);
     return response;

@@ -40,7 +40,6 @@
 #ifndef REX_SERVER_SERVICE_HH
 #define REX_SERVER_SERVICE_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -150,31 +149,10 @@ class CheckService
 
     /**
      * Dispatch a check-route request (POST /check or GET /check/<name>,
-     * wrong-method 405s included), with verdict records streamed to
-     * @p onChunk as they are produced. Metrics are fully counted here;
-     * the returned response always carries the complete body.
+     * wrong-method 405s included). Metrics are fully counted here.
      */
-    HttpResponse
-    handleCheckRoute(const HttpRequest &request,
-                     const std::function<void(const std::string &)>
-                         &onChunk = {});
+    HttpResponse handleCheckRoute(const HttpRequest &request);
 
-    /**
-     * Run one validated check: the JSONL response body, one
-     * docs/FORMAT.md verdict record per variant in request order.
-     */
-    std::string runCheck(const CheckRequest &request);
-
-    /**
-     * runCheck plus cacheability: @p onChunk (when set) receives each
-     * verdict record as soon as it exists — this is what lets a handler
-     * thread stream records through the event loop's completion queue
-     * while later variants are still being checked.
-     */
-    CheckOutcome
-    runCheckStreaming(const CheckRequest &request,
-                      const std::function<void(const std::string &)>
-                          &onChunk = {});
 
     /**
      * Event-loop fast path: when @p request targets the check route
@@ -194,9 +172,21 @@ class CheckService
     engine::Engine &engine() { return _engine; }
 
   private:
-    HttpResponse
-    handleCheck(const HttpRequest &request,
-                const std::function<void(const std::string &)> &onChunk);
+    HttpResponse handleCheck(const HttpRequest &request);
+
+    /**
+     * Run one validated check: the JSONL response body, one
+     * docs/FORMAT.md verdict record per variant in request order, and
+     * its cacheability.
+     */
+    CheckOutcome runCheck(const CheckRequest &request);
+
+    /**
+     * When @p request's `If-None-Match` matches @p etag, fill @p out
+     * with the 304 (counted in http304) and return true.
+     */
+    bool notModified(const HttpRequest &request, const std::string &etag,
+                     HttpResponse &out);
 
     /**
      * Build the validated CheckRequest for POST /check (JSON body) or

@@ -7,6 +7,11 @@
  * Figure 9 "model == implementation" check).
  */
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "axiomatic/enumerate.hh"
@@ -231,13 +236,39 @@ TEST(CatModelFile, ShippedModelLoads)
     EXPECT_EQ(model.name(), "Arm-A exceptions");
 }
 
+TEST(CatModelFile, EmbeddedModelsMatchTheModelsDirectory)
+{
+    // The library embeds models/*.cat at build time; an embed the build
+    // did not refresh after a model edit must fail here.
+    std::vector<std::string> on_disk;
+    for (const auto &entry :
+             std::filesystem::directory_iterator(REX_MODEL_DIR)) {
+        if (entry.path().extension() == ".cat")
+            on_disk.push_back(entry.path().filename().string());
+    }
+    std::sort(on_disk.begin(), on_disk.end());
+
+    std::vector<std::string> embedded;
+    for (const cat::ShippedFile &file : cat::shippedFiles()) {
+        embedded.emplace_back(file.name);
+        std::ifstream in(std::string(REX_MODEL_DIR) + "/" +
+                             std::string(file.name),
+                         std::ios::binary);
+        ASSERT_TRUE(in) << file.name;
+        std::ostringstream text;
+        text << in.rdbuf();
+        EXPECT_EQ(text.str(), file.text) << file.name;
+        EXPECT_EQ(cat::shippedText(file.name), file.text) << file.name;
+    }
+    EXPECT_EQ(embedded, on_disk);
+}
+
 TEST(CatModelFile, ExceptionsModelConservativeOverBase)
 {
     // On exception-free candidates the exceptions model must agree with
     // the shipped user-mode base model: the extension only adds clauses
     // over the new event kinds.
-    CatModel base_model =
-        CatModel::loadFile(cat::modelDir() + "/aarch64-base.cat");
+    CatModel base_model = CatModel::fromShipped("aarch64-base.cat");
     const CatModel &exc_model = CatModel::shipped();
     ModelParams params = ModelParams::base();
 

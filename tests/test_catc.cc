@@ -73,17 +73,15 @@ TEST(CatcParity, ShardedCompiledMatchesSerial)
 
 TEST(CatcExec, AttributedRunReproducesCheckConsistentPerCandidate)
 {
-    // Per-candidate ground truth: the folded native program (with the
+    // Per-candidate ground truth: the compiled shipped model (with the
     // internal check, since no pre-filter runs here) must reproduce
-    // checkConsistent exactly — verdict, axiom name, and cycle.
-    for (const char *name :
-         {"MP.EL1+dmb.sy+dataesrsvc", "SB+dmb.sy+eret",
-          "MP+dmb.sy+ctrlsvc", "MPviaSGI+dsb.st", "LB+ctrlint+data",
-          "MP+dmb.sy+fault"}) {
-        const LitmusTest &test = TestRegistry::instance().get(name);
-        for (const ModelParams &params : ModelParams::paperVariants()) {
-            catc::Program program = catc::compileNative(params, true);
-            CandidateEnumerator enumerator(test);
+    // checkConsistent exactly — verdict, axiom name, and cycle — on
+    // every builtin.
+    for (const ModelParams &params : ModelParams::paperVariants()) {
+        const catc::Program program = catc::compileNative(params, true);
+        for (const LitmusTest *test : TestRegistry::instance().all()) {
+            SCOPED_TRACE(test->name + " / " + params.name());
+            CandidateEnumerator enumerator(*test);
             enumerator.forEach([&](CandidateExecution &cand) {
                 catc::FoldedProgram folded(program, cand);
                 ModelResult expected = checkConsistent(cand, params);
@@ -216,8 +214,7 @@ void
 expectCatParity(const std::string &source, const char *testName,
                 const ModelParams &params)
 {
-    cat::CatModel model = cat::CatModel::fromSource(source,
-                                                    cat::modelDir());
+    cat::CatModel model = cat::CatModel::fromSource(source);
     catc::CatCompileResult compiled =
         catc::compileCat(model.file(), cat::flagsFor(params));
     ASSERT_TRUE(compiled.program.has_value()) << compiled.error;
@@ -302,8 +299,7 @@ let stat = po; [W] | addr | data
 acyclic stat as static-check
 acyclic po-loc | fr | co | rf as internal
 )";
-    cat::CatModel model =
-        cat::CatModel::fromSource(source, cat::modelDir());
+    cat::CatModel model = cat::CatModel::fromSource(source);
     catc::CatCompileResult compiled =
         catc::compileCat(model.file(), cat::flagsFor(ModelParams::base()));
     ASSERT_TRUE(compiled.program.has_value()) << compiled.error;
@@ -316,6 +312,120 @@ acyclic po-loc | fr | co | rf as internal
         return false;
     });
     expectCatParity(source, "SB+dmb.sy+eret", ModelParams::base());
+}
+
+/** True when every op of @p program is read by some check. */
+void
+expectEveryOpRead(const catc::Program &program, const std::string &context)
+{
+    std::vector<std::uint8_t> read(program.ops.size(), 0);
+    for (const catc::Check &check : program.checks)
+        read[check.reg] = 1;
+    std::uint32_t operands[3];
+    for (std::size_t i = program.ops.size(); i-- > 0;) {
+        if (!read[i])
+            continue;
+        const int count = catc::operandsOf(program.ops[i], operands);
+        for (int j = 0; j < count; ++j)
+            read[operands[j]] = 1;
+    }
+    for (std::size_t i = 0; i < program.ops.size(); ++i)
+        EXPECT_TRUE(read[i]) << context << ": r" << i << " is dead";
+}
+
+TEST(CatcCompiler, IrreflexiveClosureCompilesToAcyclic)
+{
+    // `irreflexive ob` with ob = (...)+ checks `acyclic` of the union:
+    // no closure is built per candidate, and the counterexample is
+    // checkConsistent's cycle of the union, not the interpreter's
+    // reflexive 1-cycle.
+    const ModelParams params = ModelParams::base();
+    const catc::Program program = catc::compileNative(params, true);
+    for (const catc::Op &op : program.ops)
+        EXPECT_NE(op.code, catc::OpCode::Closure);
+    const catc::Check &external = program.checks.at(1);
+    EXPECT_EQ(external.name, "external");
+    EXPECT_EQ(external.kind, catc::Check::Kind::Acyclic);
+
+    std::size_t externalFailures = 0;
+    for (const char *name : {"MP+dmb.sy+ctrlsvc", "SB+dmb.sy+eret"}) {
+        const LitmusTest &test = TestRegistry::instance().get(name);
+        CandidateEnumerator enumerator(test);
+        enumerator.forEach([&](CandidateExecution &cand) {
+            const ModelResult expected = checkConsistent(cand, params);
+            if (expected.failedAxiom != "external")
+                return true;
+            ++externalFailures;
+            catc::FoldedProgram folded(program, cand);
+            const ModelResult actual = folded.runAttributed(cand);
+            EXPECT_EQ(actual.failedAxiom, "external") << name;
+            EXPECT_EQ(actual.cycle, expected.cycle) << name;
+            EXPECT_GT(actual.cycle->size(), 1u) << name;
+            return true;
+        });
+    }
+    EXPECT_GT(externalFailures, 0u);
+}
+
+TEST(CatcCompiler, IdentitySequencesFuseIntoRestrictions)
+{
+    const auto flags = cat::flagsFor(ModelParams::base());
+    auto countOps = [](const catc::Program &program, catc::OpCode code) {
+        return std::count_if(program.ops.begin(), program.ops.end(),
+                             [&](const catc::Op &op) {
+                                 return op.code == code;
+                             });
+    };
+    for (const char *expr : {"[R]; po; [W]", "[R]; (po; [W])"}) {
+        catc::CatCompileResult both = catc::compileCat(
+            cat::parseCat(std::string("\"m\"\nacyclic ") + expr +
+                          " as c\n"),
+            flags);
+        ASSERT_TRUE(both.program.has_value()) << both.error;
+        EXPECT_EQ(countOps(*both.program, catc::OpCode::Restricted), 1)
+            << expr << "\n" << both.program->toString();
+        EXPECT_EQ(countOps(*both.program, catc::OpCode::Seq), 0) << expr;
+        EXPECT_EQ(countOps(*both.program, catc::OpCode::IdentityOn), 0)
+            << expr;
+    }
+    catc::CatCompileResult sides = catc::compileCat(
+        cat::parseCat("\"m\"\nacyclic [R]; po as d\n"
+                      "acyclic po; [W] as r\n"),
+        flags);
+    ASSERT_TRUE(sides.program.has_value()) << sides.error;
+    EXPECT_EQ(countOps(*sides.program, catc::OpCode::RestrictDomain), 1);
+    EXPECT_EQ(countOps(*sides.program, catc::OpCode::RestrictRange), 1);
+    EXPECT_EQ(countOps(*sides.program, catc::OpCode::Seq), 0);
+}
+
+TEST(CatcCompiler, ConstantHalfOfObFoldsIntoOneRegister)
+{
+    // Unions keep their witness-independent half apart, so the whole
+    // static part of ob is one folded register and the per-candidate
+    // tail of the base program is 19 ops: rf, co, interrupt, the
+    // derived rfi/rfe/fr/fre/coe, and the unions and checks over them.
+    const catc::Program program =
+        catc::compileNative(ModelParams::base(), false);
+    const catc::FoldPlan plan(program);
+    EXPECT_EQ(plan.liveOps(), 19u) << program.toString();
+}
+
+TEST(CatcCompiler, NoCompiledProgramKeepsADeadOp)
+{
+    for (const ModelParams &params : ModelParams::paperVariants()) {
+        for (bool internal : {false, true}) {
+            expectEveryOpRead(catc::compileNative(params, internal),
+                              params.name());
+        }
+        for (const char *name :
+             {"aarch64-base.cat", "aarch64-exceptions.cat"}) {
+            catc::CatCompileResult compiled = catc::compileCat(
+                cat::CatModel::fromShipped(name).file(),
+                cat::flagsFor(params));
+            ASSERT_TRUE(compiled.program.has_value()) << compiled.error;
+            expectEveryOpRead(*compiled.program, name);
+        }
+    }
 }
 
 TEST(CatcCompiler, RejectsOutsideTheCompilableSubset)
@@ -418,8 +528,8 @@ TEST(CatcCache, UnnamedModelsNeverReuseANamedVariantsProgram)
 TEST(CatcCache, CompileOncePerVariant)
 {
     const catc::CompileStats before = catc::compileStats();
-    auto first = catc::nativeStaged(ModelParams::base());
-    auto second = catc::nativeStaged(ModelParams::base());
+    auto first = catc::stagedProgram(ModelParams::base());
+    auto second = catc::stagedProgram(ModelParams::base());
     ASSERT_NE(first, nullptr);
     EXPECT_EQ(first.get(), second.get());
     const catc::CompileStats after = catc::compileStats();
