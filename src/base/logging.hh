@@ -84,6 +84,15 @@ rexAssert(bool condition, const std::string &msg)
         panic(msg);
 }
 
+/** As above; a literal message builds no string unless the check
+ *  fails, which keeps asserts on hot paths free. */
+inline void
+rexAssert(bool condition, const char *msg)
+{
+    if (!condition)
+        panic(msg);
+}
+
 } // namespace rex
 
 #endif // REX_BASE_LOGGING_HH

@@ -5,13 +5,16 @@
  * axiomatic model — every operationally reachable outcome must be
  * axiomatically allowed.
  *
- * The search is a depth-first walk memoised on Machine::stateKey(), a
- * compact byte key of only the fields the test's code can change. The
- * visited set keeps every full key and compares bytes on a hash match,
- * so states are merged only when they are equal. DFS frames are reused
- * by depth and each successor is built by copy-assignment into the
- * frame above its parent, so no successor allocates once the frames
- * have grown (docs/OPERATIONAL.md).
+ * The search is a depth-first walk memoised on the machine's state,
+ * split into segments: one per thread, one for memory and its write
+ * versions, one for the GIC (Machine::segmentKey()). Each segment's
+ * compact byte key is interned in its own exact table, and the visited
+ * set holds the tuple of segment ids; every table compares full bytes,
+ * so states are merged only when they are equal. A successor re-encodes
+ * and re-interns only the segments its transition moved. DFS frames are
+ * reused by depth; a successor is built in the frame above its parent
+ * by restoring only the segments that differ from the parent, so no
+ * successor allocates once the frames have grown (docs/OPERATIONAL.md).
  */
 
 #ifndef REX_OPERATIONAL_EXPLORER_HH
@@ -43,7 +46,8 @@ struct ExploreResult {
 
 /**
  * Exhaustively explore @p test on @p profile.
- * @param max_states cap on distinct visited states.
+ * @param max_states cap on distinct visited states, at most
+ *        UINT32_MAX (a larger cap is a fatal error).
  */
 ExploreResult explore(const LitmusTest &test, const CoreProfile &profile,
                       std::size_t max_states = 2'000'000);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "base/logging.hh"
 #include "base/strings.hh"
@@ -56,6 +58,15 @@ isDsb(BarrierKind kind)
     return kind == BarrierKind::DsbLd || kind == BarrierKind::DsbSt ||
         kind == BarrierKind::DsbSy;
 }
+
+/** Sizes of the parts of a thread's segment key: its scalars, each
+ *  recorded register (value and in-flight producer), each recorded
+ *  sysreg, and each in-flight op. */
+constexpr std::size_t kScalarKeyBytes = 8 * sizeof(std::uint64_t);
+constexpr std::size_t kRegKeyBytes =
+    sizeof(std::uint64_t) + sizeof(std::int32_t);
+constexpr std::size_t kSysregKeyBytes = sizeof(std::uint64_t);
+constexpr std::size_t kOpKeyBytes = 2 * sizeof(std::uint64_t);
 
 } // namespace
 
@@ -116,23 +127,37 @@ Machine::Transition::toString() const
 }
 
 Machine::Machine(const LitmusTest &test, const CoreProfile &profile)
-    : _test(&test), _profile(profile), _gic(test.threads.size())
+    : _test(&test), _profile(profile), _layout(layOut(test)),
+      _gic(test.threads.size())
 {
-    computeKeyMasks();
+    if (test.threads.size() > kMaxThreads) {
+        fatal(format("operational: %s has %zu threads, at most %zu "
+                     "supported", test.name.c_str(), test.threads.size(),
+                     kMaxThreads));
+    }
     reset();
 }
 
-void
-Machine::computeKeyMasks()
+std::shared_ptr<const Machine::Layout>
+Machine::layOut(const LitmusTest &test)
 {
-    _keyMasks.assign(_test->threads.size(), KeyMask{});
-    for (std::size_t t = 0; t < _test->threads.size(); ++t) {
-        const LitmusThread &spec = _test->threads[t];
-        KeyMask &mask = _keyMasks[t];
+    auto layout = std::make_shared<Layout>();
+    layout->keyMasks.assign(test.threads.size(), Layout::KeyMask{});
+    layout->labels.resize(test.threads.size());
+    for (std::size_t t = 0; t < test.threads.size(); ++t) {
+        const LitmusThread &spec = test.threads[t];
+        Layout::KeyMask &mask = layout->keyMasks[t];
         auto reg = [&](isa::RegId r) { mask.regs |= 1u << r; };
         auto sysreg = [&](Sysreg r) { mask.sysregs |= 1u << sysregIndex(r); };
         for (const isa::Program *prog : {&spec.program, &spec.handler}) {
-            for (const Instruction &inst : prog->code) {
+            std::vector<std::size_t> &targets = prog == &spec.program
+                ? layout->labels[t].programTargets
+                : layout->labels[t].handlerTargets;
+            targets.assign(prog->code.size(), 0);
+            for (std::size_t i = 0; i < prog->code.size(); ++i) {
+                const Instruction &inst = prog->code[i];
+                if (inst.isBranch())
+                    targets[i] = prog->labelIndex(inst.label);
                 switch (inst.op) {
                   case Opcode::MovImm:
                   case Opcode::MovReg:
@@ -146,7 +171,7 @@ Machine::computeKeyMasks()
                   case Opcode::Mrs:
                     reg(inst.rd);
                     if (inst.sysreg == Sysreg::ICC_IAR1_EL1)
-                        _gicLive = true;
+                        layout->gicLive = true;
                     break;
                   case Opcode::Stxr:
                     reg(inst.rs);
@@ -157,7 +182,7 @@ Machine::computeKeyMasks()
                             inst.sysreg == Sysreg::ICC_EOIR1_EL1 ||
                             inst.sysreg == Sysreg::ICC_DIR_EL1 ||
                             inst.sysreg == Sysreg::ICC_PMR_EL1) {
-                        _gicLive = true;
+                        layout->gicLive = true;
                     }
                     break;
                   default:
@@ -177,7 +202,39 @@ Machine::computeKeyMasks()
             sysreg(Sysreg::SPSR_EL1);
             sysreg(Sysreg::FAR_EL1);
         }
+        mask.fixedBytes = kScalarKeyBytes +
+            static_cast<std::size_t>(std::popcount(mask.regs)) *
+                kRegKeyBytes +
+            static_cast<std::size_t>(std::popcount(mask.sysregs)) *
+                kSysregKeyBytes;
+        if (spec.interruptAt) {
+            layout->labels[t].interruptPc =
+                spec.program.labelIndex(*spec.interruptAt);
+        }
     }
+
+    // The outcome's values, in the order of Outcome::values (a std::map
+    // keyed by name); a register named twice in the condition is one.
+    std::vector<Layout::OutcomeField> &fields = layout->outcomeFields;
+    for (const CondAtom &atom : test.finalCond.atoms) {
+        if (atom.kind == CondAtom::Kind::Register) {
+            fields.push_back({std::to_string(atom.tid) + ":" +
+                                  isa::regName(atom.reg),
+                              static_cast<int>(atom.tid), atom.reg, 0});
+        }
+    }
+    for (LocationId loc = 0; loc < test.locations.size(); ++loc)
+        fields.push_back({"*" + test.locations[loc], -1, isa::kZeroReg, loc});
+    std::sort(fields.begin(), fields.end(),
+              [](const auto &lhs, const auto &rhs) {
+                  return lhs.name < rhs.name;
+              });
+    fields.erase(std::unique(fields.begin(), fields.end(),
+                             [](const auto &lhs, const auto &rhs) {
+                                 return lhs.name == rhs.name;
+                             }),
+                 fields.end());
+    return layout;
 }
 
 void
@@ -228,10 +285,9 @@ Machine::interruptDeliverable(int tid) const
             thread.forgoInterrupt) {
         return false;
     }
-    if (spec.interruptAt) {
+    if (const auto &pc = _layout->labels[tid].interruptPc) {
         // Mandatory externally-pended interrupt, exactly at the label.
-        return !thread.finished &&
-            thread.pc == spec.program.labelIndex(*spec.interruptAt);
+        return !thread.finished && thread.pc == *pc;
     }
     if (thread.masked)
         return false;
@@ -251,9 +307,9 @@ Machine::canIssue(int tid) const
         return false;
 
     // A mandatory pended interrupt blocks issue at its program point.
-    if (spec.interruptAt && !thread.inHandler &&
-            thread.interruptsTaken == 0 &&
-            thread.pc == spec.program.labelIndex(*spec.interruptAt)) {
+    const auto &interrupt_pc = _layout->labels[tid].interruptPc;
+    if (interrupt_pc && !thread.inHandler &&
+            thread.interruptsTaken == 0 && thread.pc == *interrupt_pc) {
         return false;
     }
 
@@ -598,15 +654,10 @@ Machine::issue(int tid)
       case Opcode::BCond: {
         bool taken =
             isa::condHoldsFor(inst.cond, thread.cmpLhs, thread.cmpRhs);
-        if (taken) {
-            std::size_t target = prog.labelIndex(inst.label);
-            if (thread.inHandler)
-                thread.handlerPc = target;
-            else
-                thread.pc = target;
-        } else {
+        if (taken)
+            branchTo(tid, idx);
+        else
             advance();
-        }
         return;
       }
 
@@ -614,26 +665,16 @@ Machine::issue(int tid)
       case Opcode::Cbnz: {
         bool zero = thread.regs[inst.rd] == 0;
         bool taken = inst.op == Opcode::Cbz ? zero : !zero;
-        if (taken) {
-            std::size_t target = prog.labelIndex(inst.label);
-            if (thread.inHandler)
-                thread.handlerPc = target;
-            else
-                thread.pc = target;
-        } else {
+        if (taken)
+            branchTo(tid, idx);
+        else
             advance();
-        }
         return;
       }
 
-      case Opcode::B: {
-        std::size_t target = prog.labelIndex(inst.label);
-        if (thread.inHandler)
-            thread.handlerPc = target;
-        else
-            thread.pc = target;
+      case Opcode::B:
+        branchTo(tid, idx);
         return;
-      }
 
       case Opcode::Dmb:
       case Opcode::Dsb:
@@ -645,7 +686,7 @@ Machine::issue(int tid)
         op.done = inst.op == Opcode::Isb;
         thread.ops.push_back(op);
         advance();
-        completeBarriers();
+        completeBarriers(thread);
         return;
       }
 
@@ -799,7 +840,7 @@ Machine::satisfy(int tid, int op_index)
     }
     if (load.exclusive)
         thread.monitor = {{load.loc, _memVersion[load.loc]}};
-    completeBarriers();
+    completeBarriers(thread);
 }
 
 void
@@ -824,59 +865,69 @@ Machine::commit(int tid, int op_index)
         ++_memVersion[store.loc];
     }
     store.done = true;
-    completeBarriers();
+    completeBarriers(thread);
 }
 
 void
-Machine::completeBarriers()
+Machine::branchTo(int tid, std::size_t idx)
+{
+    ThreadState &thread = _threads[static_cast<std::size_t>(tid)];
+    const Layout::Labels &labels =
+        _layout->labels[static_cast<std::size_t>(tid)];
+    if (thread.inHandler)
+        thread.handlerPc = labels.handlerTargets[idx];
+    else
+        thread.pc = labels.programTargets[idx];
+}
+
+void
+Machine::completeBarriers(ThreadState &thread)
 {
     // Barriers complete eagerly once their constraints hold; completion
     // has no side effect beyond enabling later operations, so eager
-    // completion preserves the reachable-outcome set.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (ThreadState &thread : _threads) {
-            for (std::size_t i = 0; i < thread.ops.size(); ++i) {
-                InFlightOp &op = thread.ops[i];
-                if (op.done || op.kind != InFlightOp::Kind::Barrier)
-                    continue;
-                bool ok = true;
-                for (std::size_t j = 0; j < i && ok; ++j) {
-                    const InFlightOp &prev = thread.ops[j];
-                    if (prev.done)
-                        continue;
-                    if (prev.kind == InFlightOp::Kind::Load &&
-                            barrierOrdersLoads(op.barrier)) {
-                        ok = false;
-                    }
-                    if (prev.kind == InFlightOp::Kind::Store &&
-                            barrierOrdersStores(op.barrier)) {
-                        ok = false;
-                    }
-                    if (prev.kind == InFlightOp::Kind::Barrier)
-                        ok = false;
-                }
-                if (ok) {
-                    op.done = true;
-                    changed = true;
-                }
+    // completion preserves the reachable-outcome set. A barrier waits
+    // only on earlier ops of its own thread, so one pass in program
+    // order reaches the fixpoint, and every other thread is already at
+    // its own.
+    for (std::size_t i = 0; i < thread.ops.size(); ++i) {
+        InFlightOp &op = thread.ops[i];
+        if (op.done || op.kind != InFlightOp::Kind::Barrier)
+            continue;
+        bool ok = true;
+        for (std::size_t j = 0; j < i && ok; ++j) {
+            const InFlightOp &prev = thread.ops[j];
+            if (prev.done)
+                continue;
+            if (prev.kind == InFlightOp::Kind::Load &&
+                    barrierOrdersLoads(op.barrier)) {
+                ok = false;
             }
+            if (prev.kind == InFlightOp::Kind::Store &&
+                    barrierOrdersStores(op.barrier)) {
+                ok = false;
+            }
+            if (prev.kind == InFlightOp::Kind::Barrier)
+                ok = false;
         }
+        op.done = ok;
     }
 }
 
 void
 Machine::apply(const Transition &transition)
 {
+    _moved = SegmentMask{1} << transition.thread;
     switch (transition.kind) {
       case Transition::Kind::Issue:
+        if (_layout->gicLive)
+            _moved |= SegmentMask{1} << gicSegment();
         issue(transition.thread);
         return;
       case Transition::Kind::Satisfy:
         satisfy(transition.thread, transition.opIndex);
         return;
       case Transition::Kind::Commit:
+        _moved |= SegmentMask{1} << memorySegment();
         commit(transition.thread, transition.opIndex);
         return;
       case Transition::Kind::TakeInterrupt:
@@ -888,6 +939,23 @@ Machine::apply(const Transition &transition)
         return;
     }
     panic("operational: unhandled transition kind");
+}
+
+void
+Machine::copySegments(const Machine &from, SegmentMask mask)
+{
+    for (; mask; mask &= mask - 1) {
+        const std::size_t segment =
+            static_cast<std::size_t>(std::countr_zero(mask));
+        if (segment < _threads.size()) {
+            _threads[segment] = from._threads[segment];
+        } else if (segment == memorySegment()) {
+            _memory = from._memory;
+            _memVersion = from._memVersion;
+        } else {
+            _gic = from._gic;
+        }
+    }
 }
 
 bool
@@ -905,43 +973,58 @@ Machine::done() const
     return true;
 }
 
+std::uint64_t
+Machine::outcomeValue(const Layout::OutcomeField &field) const
+{
+    if (field.tid < 0)
+        return _memory[field.loc];
+    return _threads[static_cast<std::size_t>(field.tid)].regs[field.reg];
+}
+
 Outcome
 Machine::outcome() const
 {
     Outcome out;
-    for (const CondAtom &atom : _test->finalCond.atoms) {
-        if (atom.kind != CondAtom::Kind::Register)
-            continue;
-        const ThreadState &thread =
-            _threads[static_cast<std::size_t>(atom.tid)];
-        out.values[std::to_string(atom.tid) + ":" +
-                   isa::regName(atom.reg)] = thread.regs[atom.reg];
-    }
-    for (LocationId loc = 0; loc < _test->locations.size(); ++loc)
-        out.values["*" + _test->locations[loc]] = _memory[loc];
+    for (const Layout::OutcomeField &field : _layout->outcomeFields)
+        out.values.emplace_hint(out.values.end(), field.name,
+                                outcomeValue(field));
     return out;
 }
 
 void
-Machine::stateKey(std::string &out) const
+Machine::outcomeKey(std::string &out) const
 {
-    // Size the buffer for the largest key once, then write each block
-    // through a raw cursor. Variable-length parts are preceded by their
-    // length, so the encoding is injective.
-    constexpr std::size_t kThreadBytes = 8 * sizeof(std::uint64_t) +
-        isa::kNumRegs * (sizeof(std::uint64_t) + sizeof(std::int32_t)) +
-        isa::kNumSysregs * sizeof(std::uint64_t);
-    constexpr std::size_t kOpBytes = 2 * sizeof(std::uint64_t);
-    std::size_t bound = 2 * _memory.size() * sizeof(std::uint64_t);
-    for (const ThreadState &thread : _threads)
-        bound += kThreadBytes + thread.ops.size() * kOpBytes;
-    if (_gicLive) {
+    out.clear();
+    for (const Layout::OutcomeField &field : _layout->outcomeFields) {
+        char digits[std::numeric_limits<std::uint64_t>::digits10 + 1];
+        char *end = std::to_chars(digits, digits + sizeof(digits),
+                                  outcomeValue(field)).ptr;
+        out += field.name;
+        out += '=';
+        out.append(digits, end);
+        out += ';';
+    }
+}
+
+void
+Machine::segmentKey(std::size_t segment, std::string &out) const
+{
+    // Size the buffer exactly once, then write the block through a raw
+    // cursor. Variable-length parts are preceded by their length, so the
+    // encoding is injective.
+    std::size_t size = 0;
+    if (segment < _threads.size()) {
+        size = _layout->keyMasks[segment].fixedBytes +
+            _threads[segment].ops.size() * kOpKeyBytes;
+    } else if (segment == memorySegment()) {
+        size = 2 * _memory.size() * sizeof(std::uint64_t);
+    } else if (_layout->gicLive) {
         for (std::size_t pe = 0; pe < _gic.numPes(); ++pe) {
-            bound += gic::kNumSgis + 3 * sizeof(std::uint32_t) +
+            size += gic::kNumSgis + 3 * sizeof(std::uint32_t) +
                 _gic.redistributor(pe).priorityStack().size();
         }
     }
-    out.resize(bound);
+    out.resize(size);
     char *cursor = out.data();
     auto put = [&cursor](const void *data, std::size_t bytes) {
         if (bytes > 0)  // data may be null for an empty vector
@@ -949,10 +1032,9 @@ Machine::stateKey(std::string &out) const
         cursor += bytes;
     };
 
-    for (std::size_t t = 0; t < _threads.size(); ++t) {
-        const ThreadState &thread = _threads[t];
-        const KeyMask mask = _keyMasks[t];
-
+    if (segment < _threads.size()) {
+        const ThreadState &thread = _threads[segment];
+        const Layout::KeyMask mask = _layout->keyMasks[segment];
         const std::uint64_t flags =
             (std::uint64_t{thread.inHandler} << 0) |
             (std::uint64_t{thread.finished} << 1) |
@@ -1005,12 +1087,11 @@ Machine::stateKey(std::string &out) const
             };
             put(record, sizeof(record));
         }
-    }
-    put(_memory.data(), _memory.size() * sizeof(std::uint64_t));
-    put(_memVersion.data(), _memVersion.size() * sizeof(std::uint64_t));
-
-    // GIC state changes only through the GIC system registers.
-    if (_gicLive) {
+    } else if (segment == memorySegment()) {
+        put(_memory.data(), _memory.size() * sizeof(std::uint64_t));
+        put(_memVersion.data(), _memVersion.size() * sizeof(std::uint64_t));
+    } else if (_layout->gicLive) {
+        // GIC state changes only through the GIC system registers.
         for (std::size_t pe = 0; pe < _gic.numPes(); ++pe) {
             const gic::Redistributor &redist = _gic.redistributor(pe);
             const std::array<gic::IntState, gic::kNumSgis> states =
@@ -1026,7 +1107,8 @@ Machine::stateKey(std::string &out) const
             put(drops.data(), drops.size());
         }
     }
-    out.resize(static_cast<std::size_t>(cursor - out.data()));
+    if (cursor != out.data() + out.size())
+        panic("operational: segment key size mismatch");
 }
 
 } // namespace rex::op

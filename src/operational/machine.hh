@@ -31,6 +31,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -95,15 +96,42 @@ class Machine
     Outcome outcome() const;
 
     /**
-     * Write a canonical byte encoding of the state into @p out (cleared
-     * first), for memoisation in exhaustive exploration. Two states
-     * reachable from the same initial state are equal exactly when
-     * their keys are equal. The key leaves out every register and
-     * sysreg the thread's code can never write, and the whole GIC when
-     * no thread touches it: those fields are constant across all
-     * reachable states (see docs/OPERATIONAL.md).
+     * The state is split into segments for exhaustive exploration: one
+     * per thread (segments 0 to threads - 1), then memory with its write
+     * versions, then the GIC. A segment mask has bit s set for segment
+     * s; threads are capped at kMaxThreads, so every mask fits.
      */
-    void stateKey(std::string &out) const;
+    using SegmentMask = std::uint64_t;
+    static_assert(kMaxThreads + 2 <= 64, "segment masks need a bit each");
+
+    std::size_t numSegments() const { return _threads.size() + 2; }
+    std::size_t memorySegment() const { return _threads.size(); }
+    std::size_t gicSegment() const { return _threads.size() + 1; }
+
+    /**
+     * Write a canonical byte encoding of segment @p segment into @p out
+     * (cleared first), for memoisation in exhaustive exploration. Two
+     * states reachable from the same initial state are equal exactly
+     * when every segment's key is equal. The keys leave out every
+     * register and sysreg the thread's code can never write, and the
+     * whole GIC when no thread touches it: those fields are constant
+     * across all reachable states (see docs/OPERATIONAL.md).
+     */
+    void segmentKey(std::size_t segment, std::string &out) const;
+
+    /** The segments the last apply() may have changed: the
+     *  transition's thread, memory on a commit, and the GIC on an issue
+     *  when some thread's code touches it. Every other segment is
+     *  exactly as it was before the transition. */
+    SegmentMask moved() const { return _moved; }
+
+    /** Copy the segments in @p mask from @p from, a machine for the
+     *  same test and profile. */
+    void copySegments(const Machine &from, SegmentMask mask);
+
+    /** Write outcome().key() into @p out (cleared first) without
+     *  building the Outcome (valid when done()). */
+    void outcomeKey(std::string &out) const;
 
   private:
     /** One in-flight memory operation. */
@@ -167,34 +195,69 @@ class Machine
 
     void enterHandler(ThreadState &thread, std::uint64_t return_pc);
     void takeFault(int tid, std::uint64_t address);
-    void completeBarriers();
+    void completeBarriers(ThreadState &thread);
+    /** Jump to the target of the branch at @p idx of the code the
+     *  thread is running (program or handler). */
+    void branchTo(int tid, std::size_t idx);
 
     /** Find the youngest not-done earlier same-location store. */
     int forwardingSource(const ThreadState &thread, int op_index,
                          LocationId loc) const;
 
-    /** The per-thread fields stateKey() records: bit r of regs is set
-     *  when the thread's program or handler can write register r, bit
-     *  s of sysregs likewise for sysreg s. */
-    struct KeyMask {
-        std::uint32_t regs = 0;
-        std::uint32_t sysregs = 0;
+    /** What the Machine constructor derives once from the test. Every
+     *  copy of the machine shares it. */
+    struct Layout {
+        /** The per-thread fields segmentKey() records: bit r of regs is
+         *  set when the thread's program or handler can write register
+         *  r, bit s of sysregs likewise for sysreg s. */
+        struct KeyMask {
+            std::uint32_t regs = 0;
+            std::uint32_t sysregs = 0;
+            /** Bytes of the thread's key before its op records. */
+            std::size_t fixedBytes = 0;
+        };
+
+        /** One thread's labels, resolved to instruction indices. */
+        struct Labels {
+            /** Branch target by instruction index (unused for other
+             *  instructions), of the program and of the handler. */
+            std::vector<std::size_t> programTargets;
+            std::vector<std::size_t> handlerTargets;
+            /** The pc of the thread's mandatory "interrupt at" label. */
+            std::optional<std::size_t> interruptPc;
+        };
+
+        /** One named value of the outcome: register @c reg of thread
+         *  @c tid, or memory location @c loc when @c tid is negative. */
+        struct OutcomeField {
+            std::string name;
+            int tid = -1;
+            isa::RegId reg = isa::kZeroReg;
+            LocationId loc = 0;
+        };
+
+        std::vector<KeyMask> keyMasks;
+        std::vector<Labels> labels;
+        /** Sorted by name, without duplicates, as in Outcome::values. */
+        std::vector<OutcomeField> outcomeFields;
+        /** Does some thread's code read or write GIC state? */
+        bool gicLive = false;
     };
 
-    void computeKeyMasks();
+    static std::shared_ptr<const Layout> layOut(const LitmusTest &test);
+
+    std::uint64_t outcomeValue(const Layout::OutcomeField &field) const;
 
     /** A pointer, not a reference, so that machines copy-assign. */
     const LitmusTest *_test;
     CoreProfile _profile;
-
-    std::vector<KeyMask> _keyMasks;
-    /** Does some thread's code read or write GIC state? */
-    bool _gicLive = false;
+    std::shared_ptr<const Layout> _layout;
 
     std::vector<ThreadState> _threads;
     std::vector<std::uint64_t> _memory;
     std::vector<std::uint64_t> _memVersion;
     gic::Gic _gic;
+    SegmentMask _moved = 0;
 
     /** The (stateless) CPU-interface view for one PE. */
     gic::CpuInterface cpuInterface(int tid) const;

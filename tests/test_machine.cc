@@ -2,14 +2,20 @@
  * @file
  * Transition-level unit tests for the operational machine: issue /
  * satisfy / commit mechanics, forwarding, barrier blocking, DSB issue
- * stalls, fault draining, interrupt transitions, and profile gating.
+ * stalls, fault draining, interrupt transitions, and profile gating;
+ * and the segment invariants exhaustive exploration relies on.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <unordered_set>
 
+#include "gen/generator.hh"
+#include "gen/hammer.hh"
 #include "litmus/parser.hh"
+#include "litmus/registry.hh"
 #include "operational/machine.hh"
 
 namespace rex {
@@ -29,13 +35,14 @@ enabled(const Machine &machine)
     return out;
 }
 
-/** The machine's current state key. */
-std::string
+/** The machine's current segment keys, in segment order. */
+std::vector<std::string>
 keyOf(const Machine &machine)
 {
-    std::string key;
-    machine.stateKey(key);
-    return key;
+    std::vector<std::string> keys(machine.numSegments());
+    for (std::size_t s = 0; s < keys.size(); ++s)
+        machine.segmentKey(s, keys[s]);
+    return keys;
 }
 
 /** Transitions of a given kind for a given thread. */
@@ -292,11 +299,11 @@ TEST(MachineTest, StateKeyDistinguishesStates)
         "    STR X2,[X1]\n"
         "allowed: *x=1\n");
     Machine machine(test, CoreProfile::cortexA53());
-    std::string k0 = keyOf(machine);
+    auto k0 = keyOf(machine);
     applyOne(machine, Kind::Issue, 0);
-    std::string k1 = keyOf(machine);
+    auto k1 = keyOf(machine);
     applyOne(machine, Kind::Commit, 0);
-    std::string k2 = keyOf(machine);
+    auto k2 = keyOf(machine);
     EXPECT_NE(k0, k1);
     EXPECT_NE(k1, k2);
     machine.reset();
@@ -341,6 +348,124 @@ TEST(MachineTest, ReleaseWaitsForAllEarlierAccesses)
     EXPECT_TRUE(of(machine, Kind::Commit, 0).empty());
     applyOne(machine, Kind::Satisfy, 0);
     EXPECT_FALSE(of(machine, Kind::Commit, 0).empty());
+}
+
+/**
+ * Walk every state reachable from the initial one and check, for every
+ * enabled transition, what op::explore relies on to re-key and restore
+ * only some segments:
+ *  - each segment outside moved() keeps its key across apply();
+ *  - a machine holding the previous sibling successor, with the
+ *    segments that sibling moved restored from the parent, reaches the
+ *    same keys by the transition as a full copy of the parent;
+ *  - at a final state, outcomeKey() equals outcome().key().
+ * Stops at the first failure. Returns the number of states walked.
+ */
+std::size_t
+checkSegmentInvariants(const LitmusTest &test, const CoreProfile &profile)
+{
+    auto joined = [](const std::vector<std::string> &keys) {
+        std::string out;
+        for (const std::string &key : keys)
+            out += std::to_string(key.size()) + ":" + key;
+        return out;
+    };
+    std::vector<Machine> stack{Machine(test, profile)};
+    std::unordered_set<std::string> seen{joined(keyOf(stack[0]))};
+    std::vector<Machine::Transition> transitions;
+    std::string outcome_key;
+    while (!stack.empty()) {
+        const Machine state = std::move(stack.back());
+        stack.pop_back();
+        if (state.done()) {
+            state.outcomeKey(outcome_key);
+            if (outcome_key != state.outcome().key()) {
+                ADD_FAILURE() << test.name << ": outcomeKey " << outcome_key
+                              << " != " << state.outcome().key();
+                return seen.size();
+            }
+            continue;
+        }
+        const std::vector<std::string> before = keyOf(state);
+        state.enabled(transitions);
+        std::optional<Machine> sibling;
+        for (const Machine::Transition &transition : transitions) {
+            Machine next = state;
+            next.apply(transition);
+            const std::vector<std::string> after = keyOf(next);
+            for (std::size_t s = 0; s < after.size(); ++s) {
+                if (!(next.moved() >> s & 1) && after[s] != before[s]) {
+                    ADD_FAILURE() << test.name << ": "
+                                  << transition.toString()
+                                  << " changed segment " << s
+                                  << " outside moved()";
+                    return seen.size();
+                }
+            }
+            if (sibling) {
+                sibling->copySegments(state, sibling->moved());
+                sibling->apply(transition);
+                if (keyOf(*sibling) != after) {
+                    ADD_FAILURE() << test.name << ": restoring the moved "
+                                  << "segments before "
+                                  << transition.toString()
+                                  << " differs from a full copy";
+                    return seen.size();
+                }
+            }
+            sibling = next;
+            if (seen.insert(joined(after)).second)
+                stack.push_back(std::move(next));
+        }
+    }
+    return seen.size();
+}
+
+TEST(MachineSegments, InvariantsHoldOnEveryBuiltin)
+{
+    std::size_t states = 0;
+    for (const std::string &name : TestRegistry::instance().names()) {
+        states += checkSegmentInvariants(TestRegistry::instance().get(name),
+                                         CoreProfile::maxRelaxed());
+    }
+    EXPECT_GT(states, 0u);
+}
+
+TEST(MachineSegments, InvariantsHoldOnGeneratedSeeds)
+{
+    const gen::HammerConfig config;
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        checkSegmentInvariants(
+            parseLitmus(gen::generate(seed, config.gen).source),
+            CoreProfile::maxRelaxed());
+    }
+}
+
+TEST(MachineSegments, CommitMovesMemoryAndGicIssueMovesGic)
+{
+    LitmusTest test = parseLitmus(
+        "name: t\n"
+        "init: *x=0; 0:PSTATE.EL=1; 1:X1=x; 1:X2=1\n"
+        "thread 0:\n"
+        "    MOV X2,#1,LSL #40\n"
+        "    MSR ICC_SGI1R_EL1,X2\n"
+        "thread 1:\n"
+        "    STR X2,[X1]\n"
+        "handler 1:\n"
+        "    MOV X3,#1\n"
+        "allowed: 1:X3=1\n");
+    Machine machine(test, CoreProfile::cortexA53());
+    const Machine::SegmentMask thread0 = 1, thread1 = 2;
+    const Machine::SegmentMask memory = Machine::SegmentMask{1}
+        << machine.memorySegment();
+    const Machine::SegmentMask gic = Machine::SegmentMask{1}
+        << machine.gicSegment();
+    applyOne(machine, Kind::Issue, 0);
+    EXPECT_EQ(machine.moved(), thread0 | gic);
+    applyOne(machine, Kind::Issue, 1);
+    EXPECT_EQ(machine.moved(), thread1 | gic);
+    applyOne(machine, Kind::Commit, 1);
+    EXPECT_EQ(machine.moved(), thread1 | memory);
 }
 
 } // namespace

@@ -15,12 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <span>
 
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
 #include "axiomatic/model.hh"
+#include "base/logging.hh"
 #include "base/strings.hh"
 #include "gen/generator.hh"
 #include "gen/hammer.hh"
@@ -351,6 +353,18 @@ TEST(GoldenExplore, GeneratedSeeds)
 }
 
 /** Print explore_golden.inc for the current machine. */
+TEST(GoldenExplore, RejectsCapBeyondThirtyTwoBitIds)
+{
+    // State and segment ids are 32-bit: a larger cap could wrap one and
+    // merge two distinct states.
+    const LitmusTest &test = TestRegistry::instance().get("CoWW");
+    const std::size_t max_ids = std::numeric_limits<std::uint32_t>::max();
+    EXPECT_THROW(explore(test, CoreProfile::maxRelaxed(), max_ids + 1),
+                 FatalError);
+    EXPECT_EQ(explore(test, CoreProfile::maxRelaxed(), max_ids)
+                  .statesVisited, 12u);
+}
+
 TEST(GoldenExplore, DISABLED_PrintTable)
 {
     auto line = [](const std::string &head, const std::string &fields) {
