@@ -43,10 +43,7 @@ listAllOutcomes(const rex::LitmusTest &test,
 {
     using namespace rex;
     std::map<std::string, std::size_t> outcomes;
-    CandidateEnumerator enumerator(test);
-    enumerator.forEach([&](CandidateExecution &cand) {
-        if (!checkConsistent(cand, params).consistent)
-            return true;
+    forEachConsistent(test, params, [&](const CandidateExecution &cand) {
         std::string key;
         for (const CondAtom &atom : test.finalCond.atoms) {
             if (atom.kind != CondAtom::Kind::Register)
@@ -61,7 +58,6 @@ listAllOutcomes(const rex::LitmusTest &test,
                 std::to_string(cand.finalMemValue(loc)) + " ";
         }
         ++outcomes[key];
-        return true;
     });
     std::string out;
     for (const auto &[key, count] : outcomes) {

@@ -39,7 +39,49 @@ condHolds(const CandidateExecution &cand, const Condition &cond)
     return true;
 }
 
+void
+mergePiece(CheckResult &earlier, CheckResult &&later)
+{
+    earlier.candidates += later.candidates;
+    earlier.consistent += later.consistent;
+    earlier.witnesses += later.witnesses;
+    earlier.constrainedUnpredictable += later.constrainedUnpredictable;
+    earlier.unknownSideEffects += later.unknownSideEffects;
+    if (earlier.forbiddingAxiom.empty() && !later.forbiddingAxiom.empty()) {
+        earlier.forbiddingAxiom = std::move(later.forbiddingAxiom);
+        earlier.forbiddingCycle = std::move(later.forbiddingCycle);
+    }
+    if (!earlier.witness && later.witness)
+        earlier.witness = std::move(later.witness);
+    earlier.observable = earlier.witnesses > 0;
+    // A witness settles the verdict, wherever it was found.
+    earlier.exhaustedAxis =
+        earlier.observable ? std::string() : std::move(later.exhaustedAxis);
+}
+
 namespace {
+
+/** The compiled program folded for a candidate's trace combination:
+ *  folded on first use, refolded when the combination changes. */
+struct LazyFold {
+    /** The compiled model's shared fold plan; the caller keeps it
+     *  alive for the whole walk. */
+    const catc::FoldPlan &plan;
+    std::optional<catc::FoldedProgram> folded{};
+    std::uint64_t combo = 0;
+
+    catc::FoldedProgram &
+    at(const CandidateExecution &cand,
+       const CandidateEnumerator::StagedInfo &info)
+    {
+        if (!folded)
+            folded.emplace(plan, cand);
+        else if (combo != info.comboIndex)
+            folded->refold(cand);
+        combo = info.comboIndex;
+        return *folded;
+    }
+};
 
 /**
  * Folds staged candidates into a CheckResult.
@@ -54,14 +96,9 @@ struct StagedAccumulator {
     bool stopAtFirst;
     bool captureWitness;
     engine::Governor *governor;  //!< may be null (unlimited)
-    /** Compiled model's shared fold plan; the caller keeps it alive
-     *  for the whole check. */
-    const catc::FoldPlan &plan;
+    LazyFold fold;
 
     CheckResult result{};
-
-    std::optional<catc::FoldedProgram> folded{};
-    std::uint64_t foldedCombo = 0;
 
     /** Set when the last visited candidate was admitted and counted
      *  but its model run aborted on a tripped token — its verdict
@@ -123,20 +160,14 @@ struct StagedAccumulator {
         }
         const engine::CancelToken *token =
             governor ? governor->token() : nullptr;
-        if (!folded) {
-            folded.emplace(plan, cand);
-            foldedCombo = info.comboIndex;
-        } else if (foldedCombo != info.comboIndex) {
-            folded->refold(cand);
-            foldedCombo = info.comboIndex;
-        }
+        catc::FoldedProgram &program = fold.at(cand, info);
         // The fast mode reorders checks and skips cycle extraction;
         // only a failure that would actually be reported (first
         // satisfying rejection) needs the program-order attributed run.
         const ModelResult model =
             satisfies && result.forbiddingAxiom.empty()
-                ? folded->runAttributed(cand, token)
-                : folded->runFast(cand, token);
+                ? program.runAttributed(cand, token)
+                : program.runFast(cand, token);
         if (model.aborted) {
             // Token tripped between clauses: stop here. The candidate
             // is counted but unresolved; remember its flags so a range
@@ -166,24 +197,6 @@ struct StagedAccumulator {
         return true;
     }
 };
-
-/** Fold @p part into @p into, preserving enumeration-order "first"
- *  semantics for the forbidding diagnostic and the witness. */
-void
-mergeInto(CheckResult &into, CheckResult &&part)
-{
-    into.candidates += part.candidates;
-    into.consistent += part.consistent;
-    into.witnesses += part.witnesses;
-    into.constrainedUnpredictable += part.constrainedUnpredictable;
-    into.unknownSideEffects += part.unknownSideEffects;
-    if (into.forbiddingAxiom.empty() && !part.forbiddingAxiom.empty()) {
-        into.forbiddingAxiom = std::move(part.forbiddingAxiom);
-        into.forbiddingCycle = std::move(part.forbiddingCycle);
-    }
-    if (!into.witness && part.witness)
-        into.witness = std::move(*part.witness);
-}
 
 using Cursor = CandidateEnumerator::Cursor;
 using Shard = CandidateEnumerator::Shard;
@@ -228,7 +241,7 @@ struct Walk {
     StagedAccumulator
     accumulator() const
     {
-        return {test, stopAtFirst, captureWitness, governor, plan};
+        return {test, stopAtFirst, captureWitness, governor, {plan}};
     }
 
     const engine::CancelToken *
@@ -414,7 +427,7 @@ walkPooled(const Walk &walk, engine::ThreadPool &pool,
         if (!slots[merged] || slots[merged]->cancelled)
             break;  // unsubmitted (budget) or post-witness suffix
         Slot &slot = *slots[merged];
-        mergeInto(out.result, std::move(slot.result));
+        mergePiece(out.result, std::move(slot.result));
         if (slot.witnessed) {
             out.witnessed = true;
             return out;
@@ -540,6 +553,42 @@ checkShardRange(const LitmusTest &test, const ModelParams &params,
             : engine::budgetAxisName(engine::BudgetAxis::Cancelled);
     }
     return out;
+}
+
+bool
+forEachConsistent(
+    const LitmusTest &test, const ModelParams &params,
+    const std::function<void(const CandidateExecution &)> &visit,
+    engine::Governor *governor)
+{
+    const engine::CancelToken *token =
+        governor ? governor->token() : nullptr;
+    const std::shared_ptr<const catc::FoldPlan> plan =
+        catc::planForCheck(params);
+    LazyFold fold{*plan};
+    bool stopped = false;
+    const CandidateEnumerator enumerator(test, token);
+    enumerator.forEachStaged(
+        [&](CandidateExecution &cand,
+            const CandidateEnumerator::StagedInfo &info) {
+            if (governor && !governor->admit()) {
+                stopped = true;
+                return false;
+            }
+            if (!info.coherent)
+                return true;  // the internal axiom rejects it
+            const ModelResult model =
+                fold.at(cand, info).runFast(cand, token);
+            if (model.aborted) {
+                stopped = true;
+                return false;
+            }
+            if (model.consistent)
+                visit(cand);
+            return true;
+        },
+        token);
+    return !stopped && !(governor && governor->tripped());
 }
 
 CheckResult

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,6 +95,17 @@ struct CheckResult {
 
 /** Does the final condition hold in this candidate? */
 bool condHolds(const CandidateExecution &candidate, const Condition &cond);
+
+/**
+ * The one verdict merge: fold @p later, the piece of the same walk that
+ * follows @p earlier in enumeration order, into @p earlier. Counts add;
+ * the earlier piece's first forbidding axiom (with its cycle) and its
+ * witness win; observable = witnesses > 0. The merged piece stops
+ * where @p later stopped (its exhaustedAxis), unless a witness settled
+ * the verdict. The pooled walk merges its shards with this, and a
+ * resumed piece is merged onto its continuation token's prefix.
+ */
+void mergePiece(CheckResult &earlier, CheckResult &&later);
 
 /**
  * Check @p test under @p params, enumerating every candidate.
@@ -195,6 +207,23 @@ ShardRangeOutcome checkShardRange(const LitmusTest &test,
                                   const ShardRangeSpec &spec,
                                   engine::ThreadPool *pool = nullptr,
                                   engine::Governor *governor = nullptr);
+
+/**
+ * Visit every candidate of @p test that @p params's compiled Figure 9
+ * program accepts, in enumeration order: the program is folded once
+ * per trace combination and run in fast mode on each coherent
+ * candidate; the coherence pre-filter rejects the rest unrun. The
+ * walk behind allowed-outcome sets (the soundness hammer, the CLI's
+ * exhaustive listing).
+ * @param governor when non-null, admits each candidate against its
+ *        budget and its token is polled
+ * @return false when the budget stopped the walk short: the visits so
+ *         far are then only a prefix
+ */
+bool forEachConsistent(
+    const LitmusTest &test, const ModelParams &params,
+    const std::function<void(const CandidateExecution &)> &visit,
+    engine::Governor *governor = nullptr);
 
 /** The retained pre-staging reference path: fresh candidate copy per
  *  witness assignment, full (unstaged) model check per candidate.

@@ -1,6 +1,7 @@
 #include "base/strings.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -137,6 +138,32 @@ parseInteger(std::string_view text, std::int64_t &out)
         return false;
     out = negative ? -value : value;
     return true;
+}
+
+bool
+parseCanonicalU64(std::string_view text, std::uint64_t &out)
+{
+    if (text.empty() || (text.size() > 1 && text[0] == '0'))
+        return false;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, out);
+    return error == std::errc() && stop == end;
+}
+
+std::optional<std::string_view>
+takeFieldLine(std::string_view text, std::size_t &pos,
+              std::string_view name)
+{
+    const std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos)
+        return std::nullopt;
+    const std::string_view line = text.substr(pos, eol - pos);
+    if (line.size() <= name.size() || line[name.size()] != ' ' ||
+            !startsWith(line, name)) {
+        return std::nullopt;
+    }
+    pos = eol + 1;
+    return line.substr(name.size() + 1);
 }
 
 std::string

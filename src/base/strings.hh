@@ -8,6 +8,7 @@
 #define REX_BASE_STRINGS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,24 @@ bool endsWith(std::string_view text, std::string_view suffix);
  * @return true on success, storing the value in @p out.
  */
 bool parseInteger(std::string_view text, std::int64_t &out);
+
+/**
+ * Parse canonical unsigned decimal: digits only, no sign, no leading
+ * zero (except "0" itself), at most UINT64_MAX. These are exactly the
+ * texts "%" PRIu64 prints, so a parsed value prints back to @p text.
+ */
+bool parseCanonicalU64(std::string_view text, std::uint64_t &out);
+
+/**
+ * Read a "NAME VALUE" line named @p name from @p text at @p pos: the
+ * VALUE (possibly empty) with @p pos advanced past the line's '\n', or
+ * std::nullopt with @p pos unchanged when the next line is not a
+ * complete line of that name. The line-oriented frames (verdict cache
+ * entries, worker frames) are read with this.
+ */
+std::optional<std::string_view> takeFieldLine(std::string_view text,
+                                              std::size_t &pos,
+                                              std::string_view name);
 
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)

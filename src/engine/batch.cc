@@ -45,49 +45,6 @@ resolveJobs(unsigned requested)
     return hw == 0 ? 1 : hw;
 }
 
-/** Prepend a token's already-merged enumeration-order prefix to the
- *  piece that resumed it. */
-void
-prependPrefix(CheckResult &result, const ContinuationState &prefix)
-{
-    result.candidates += prefix.candidates;
-    result.consistent += prefix.consistent;
-    result.witnesses += prefix.witnesses;
-    result.constrainedUnpredictable += prefix.constrainedUnpredictable;
-    result.unknownSideEffects += prefix.unknownSideEffects;
-    if (!prefix.forbiddingAxiom.empty()) {
-        // The prefix is earlier in enumeration order: its first
-        // satisfying rejection wins over anything this piece saw.
-        result.forbiddingAxiom = prefix.forbiddingAxiom;
-        result.forbiddingCycle.assign(prefix.forbiddingCycle.begin(),
-                                      prefix.forbiddingCycle.end());
-    }
-    result.observable = result.witnesses > 0;
-    // A witness settles the verdict, wherever it was found.
-    if (result.observable)
-        result.exhaustedAxis.clear();
-}
-
-/** The token state of a partial result stopped at @p outcome's cursor. */
-ContinuationState
-continuationAt(const ShardRangeOutcome &outcome, const CheckResult &result)
-{
-    ContinuationState next;
-    next.planTarget = kCheckShardTarget;
-    next.planSize = outcome.planSize;
-    next.nextShard = outcome.nextShard;
-    next.nextOffset = outcome.nextOffset;
-    next.candidates = result.candidates;
-    next.consistent = result.consistent;
-    next.witnesses = result.witnesses;
-    next.constrainedUnpredictable = result.constrainedUnpredictable;
-    next.unknownSideEffects = result.unknownSideEffects;
-    next.forbiddingAxiom = result.forbiddingAxiom;
-    next.forbiddingCycle.assign(result.forbiddingCycle.begin(),
-                                result.forbiddingCycle.end());
-    return next;
-}
-
 } // namespace
 
 EngineConfig
@@ -273,7 +230,9 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
                     "continuation cursor does not fit the re-derived "
                     "shard plan");
             }
-            prependPrefix(result, *resume);
+            CheckResult merged = resume->prefix.toResult();
+            mergePiece(merged, std::move(result));
+            result = std::move(merged);
         }
         verdict = CachedVerdict::fromResult(result);
         if (!result.complete()) {
@@ -284,7 +243,9 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
                 // Programmatic tests carry no source text; their tokens
                 // fingerprint the registry name instead (still unique
                 // per test, and the HTTP path always has the source).
-                ContinuationState next = continuationAt(piece, result);
+                ContinuationState next{0, kCheckShardTarget,
+                                       piece.planSize, piece.nextShard,
+                                       piece.nextOffset, verdict};
                 next.fingerprint = continuationFingerprint(
                     test.sourceText.empty() ? test.name : test.sourceText,
                     record.variant, _config.modelRevision, next);

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 
 #include <fcntl.h>
@@ -15,6 +14,7 @@
 #include <unistd.h>
 
 #include "base/fsync.hh"
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/strings.hh"
 #include "engine/faultinject.hh"
@@ -23,19 +23,6 @@
 namespace rex::engine {
 
 namespace {
-
-/** FNV-1a over @p text, seeded by @p hash. */
-std::uint64_t
-fnv1a(std::uint64_t hash, std::string_view text)
-{
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 /**
  * RAII flock(2) on `<dir>/.lock`, serialising eviction scans and
@@ -206,6 +193,64 @@ CachedVerdict::forbiddingSummary() const
         out += std::to_string(forbiddingCycle[i]);
     }
     return out;
+}
+
+void
+CachedVerdict::writeFields(std::string &out) const
+{
+    out += format("observable %d\n", observable ? 1 : 0);
+    out += format("candidates %" PRIu64 "\n", candidates);
+    out += format("consistent %" PRIu64 "\n", consistent);
+    out += format("witnesses %" PRIu64 "\n", witnesses);
+    out += format("cu %" PRIu64 "\n", constrainedUnpredictable);
+    out += format("unknown %" PRIu64 "\n", unknownSideEffects);
+    if (!forbiddingAxiom.empty())
+        out += "axiom " + forbiddingAxiom + "\n";
+    if (!forbiddingCycle.empty()) {
+        out += "cycle";
+        for (EventId id : forbiddingCycle)
+            out += " " + std::to_string(id);
+        out += "\n";
+    }
+}
+
+std::optional<CachedVerdict>
+CachedVerdict::readFields(std::string_view text, std::size_t &pos)
+{
+    std::size_t at = pos;
+    auto count = [&](std::string_view name, std::uint64_t &out) {
+        const std::optional<std::string_view> value =
+            takeFieldLine(text, at, name);
+        return value && parseCanonicalU64(*value, out);
+    };
+    CachedVerdict verdict;
+    const std::optional<std::string_view> observable =
+        takeFieldLine(text, at, "observable");
+    if (!observable || (*observable != "0" && *observable != "1"))
+        return std::nullopt;
+    verdict.observable = *observable == "1";
+    if (!count("candidates", verdict.candidates) ||
+            !count("consistent", verdict.consistent) ||
+            !count("witnesses", verdict.witnesses) ||
+            !count("cu", verdict.constrainedUnpredictable) ||
+            !count("unknown", verdict.unknownSideEffects)) {
+        return std::nullopt;
+    }
+    if (const auto axiom = takeFieldLine(text, at, "axiom")) {
+        if (axiom->empty())
+            return std::nullopt;  // the writer omits an empty axiom
+        verdict.forbiddingAxiom = *axiom;
+    }
+    if (const auto cycle = takeFieldLine(text, at, "cycle")) {
+        for (const std::string &id : split(*cycle, ' ')) {
+            std::uint64_t event = 0;
+            if (!parseCanonicalU64(id, event) || event > 0xffffffffull)
+                return std::nullopt;
+            verdict.forbiddingCycle.push_back(static_cast<EventId>(event));
+        }
+    }
+    pos = at;
+    return verdict;
 }
 
 VerdictCache::VerdictCache(bool enabled, std::string dir,
@@ -416,61 +461,25 @@ VerdictCache::loadFromDisk(const VerdictKey &key)
         return std::nullopt;
     }
 
-    std::istringstream stream(payload);
-    std::string line;
-    CachedVerdict verdict;
-    std::size_t keylen = 0;
-    while (std::getline(stream, line)) {
-        std::size_t space = line.find(' ');
-        std::string field = line.substr(0, space);
-        std::string rest =
-            space == std::string::npos ? "" : line.substr(space + 1);
-        if (field == "observable") {
-            verdict.observable = rest == "1";
-        } else if (field == "candidates") {
-            verdict.candidates = std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "consistent") {
-            verdict.consistent = std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "witnesses") {
-            verdict.witnesses = std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "cu") {
-            verdict.constrainedUnpredictable =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "unknown") {
-            verdict.unknownSideEffects =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "axiom") {
-            verdict.forbiddingAxiom = rest;
-        } else if (field == "cycle") {
-            for (const std::string &id : splitWhitespace(rest)) {
-                verdict.forbiddingCycle.push_back(static_cast<EventId>(
-                    std::strtoul(id.c_str(), nullptr, 10)));
-            }
-        } else if (field == "keylen") {
-            keylen = std::strtoull(rest.c_str(), nullptr, 10);
-            break;
-        } else {
-            evictCorrupt(path);  // unknown field despite a good checksum
-            return std::nullopt;
-        }
-    }
-    if (keylen == 0) {
-        evictCorrupt(path);
-        return std::nullopt;
-    }
-    const std::streampos keyStart = stream.tellg();
-    if (keyStart == std::streampos(-1) ||
-            payload.size() - static_cast<std::size_t>(keyStart) != keylen) {
+    // The payload: the verdict's field lines, then the key text behind
+    // its length. A malformed one despite a good checksum is corrupt.
+    std::size_t keyStart = 0;
+    std::optional<CachedVerdict> verdict =
+        CachedVerdict::readFields(payload, keyStart);
+    std::uint64_t keylen = 0;
+    const std::optional<std::string_view> keylenText =
+        verdict ? takeFieldLine(payload, keyStart, "keylen")
+                : std::nullopt;
+    if (!keylenText || !parseCanonicalU64(*keylenText, keylen) ||
+            keylen == 0 || payload.size() - keyStart != keylen) {
         evictCorrupt(path);
         return std::nullopt;
     }
     // The checksum already vouches for integrity; a key-text mismatch
     // here is a content-hash collision, not corruption — miss without
     // deleting the (valid) colliding entry.
-    if (payload.compare(static_cast<std::size_t>(keyStart), keylen,
-                        key.text) != 0) {
+    if (payload.compare(keyStart, keylen, key.text) != 0)
         return std::nullopt;
-    }
     return verdict;
 }
 
@@ -482,20 +491,7 @@ VerdictCache::writeToDisk(const VerdictKey &key,
     std::string path = entryPath(key);
 
     std::string payload;
-    payload += format("observable %d\n", value.observable ? 1 : 0);
-    payload += format("candidates %" PRIu64 "\n", value.candidates);
-    payload += format("consistent %" PRIu64 "\n", value.consistent);
-    payload += format("witnesses %" PRIu64 "\n", value.witnesses);
-    payload += format("cu %" PRIu64 "\n", value.constrainedUnpredictable);
-    payload += format("unknown %" PRIu64 "\n", value.unknownSideEffects);
-    if (!value.forbiddingAxiom.empty())
-        payload += "axiom " + value.forbiddingAxiom + "\n";
-    if (!value.forbiddingCycle.empty()) {
-        payload += "cycle";
-        for (EventId id : value.forbiddingCycle)
-            payload += " " + std::to_string(id);
-        payload += "\n";
-    }
+    value.writeFields(payload);
     payload += format("keylen %zu\n", key.text.size());
     payload += key.text;
 

@@ -50,6 +50,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -60,9 +61,13 @@
 namespace rex::engine {
 
 /**
- * Revision tag of the axiomatic model implementation. Bump whenever
- * src/axiomatic/model.cc (or anything feeding it: enumeration, thread
- * semantics) changes behaviour, so persisted verdicts are invalidated.
+ * Revision tag of the axiomatic model implementation. Bump whenever a
+ * verdict can change: the shipped models (the .cat files under
+ * models/, embedded at build time), the catc lowering and bytecode
+ * that compile them (src/catc), candidate enumeration
+ * (src/axiomatic/enumerate.cc) or thread semantics (src/sem), so
+ * persisted verdicts and continuation tokens of the old model are
+ * invalidated.
  */
 inline constexpr const char *kModelRevision = "fig9-catc-r2";
 
@@ -85,7 +90,13 @@ struct VerdictKey {
     std::string hashHex() const;
 };
 
-/** The witness-less payload of a cached verdict. */
+/**
+ * The witness-less verdict value below CheckResult: what the cache
+ * stores, a supervised worker returns and a continuation token carries
+ * as its prefix. writeFields()/readFields() are its one text codec,
+ * shared by the rex-verdict-v2 disk entry and the rex-verdict-ipc-v1
+ * worker reply (docs/FORMAT.md).
+ */
 struct CachedVerdict {
     bool observable = false;
     std::uint64_t candidates = 0;
@@ -107,6 +118,26 @@ struct CachedVerdict {
 
     /** "axiom:3->7->12" summary for results records; "" when allowed. */
     std::string forbiddingSummary() const;
+
+    /**
+     * Append the verdict's field lines to @p out: "observable 0|1",
+     * "candidates N", "consistent N", "witnesses N", "cu N",
+     * "unknown N", then "axiom NAME" and "cycle ID..." when set.
+     * Axiom names hold no newline.
+     */
+    void writeFields(std::string &out) const;
+
+    /**
+     * Read the lines writeFields() writes from @p text at @p pos and
+     * advance @p pos past them. Strict: the fields must come in
+     * writeFields()'s order with canonical values, so an accepted
+     * verdict writes back to exactly the bytes it was read from.
+     * @return std::nullopt on a missing, malformed or misplaced field
+     */
+    static std::optional<CachedVerdict> readFields(std::string_view text,
+                                                   std::size_t &pos);
+
+    bool operator==(const CachedVerdict &) const = default;
 };
 
 /** Thread-safe verdict memoization with optional on-disk persistence. */

@@ -3,70 +3,24 @@
 #include <cinttypes>
 #include <cstdlib>
 
+#include "base/hash.hh"
 #include "base/strings.hh"
 
 namespace rex::engine {
 
 namespace {
 
-/**
- * FNV-1a with length-prefixed field mixing (the hammer checkpoint's
- * fingerprint idiom): structurally different inputs cannot collide by
- * concatenating to the same byte stream.
- */
-struct Fnv {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-
-    void
-    bytes(const void *data, std::size_t size)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i) {
-            hash ^= p[i];
-            hash *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    u64(std::uint64_t value)
-    {
-        bytes(&value, sizeof(value));
-    }
-
-    void
-    str(const std::string &value)
-    {
-        u64(value.size());
-        bytes(value.data(), value.size());
-    }
-};
-
-/** Parse one decimal std::uint64_t field, rejecting partial consumption
- *  and empty input. */
-bool
-parseU64(const std::string &field, std::uint64_t &out)
-{
-    if (field.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(field.c_str(), &end, 10);
-    if (!end || *end != '\0')
-        return false;
-    out = parsed;
-    return true;
-}
-
-/** Parse the fixed 16-digit hex fingerprint field. */
+/** Parse the fixed 16-digit lower-case hex fingerprint field. */
 bool
 parseHex64(const std::string &field, std::uint64_t &out)
 {
     if (field.size() != 16)
         return false;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(field.c_str(), &end, 16);
-    if (!end || *end != '\0')
-        return false;
-    out = parsed;
+    for (char c : field) {
+        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
+            return false;
+    }
+    out = std::strtoull(field.c_str(), nullptr, 16);
     return true;
 }
 
@@ -123,7 +77,7 @@ std::uint64_t
 shardJobFingerprint(const std::string &source, const std::string &variant,
                     const std::string &revision, std::uint64_t planTarget)
 {
-    Fnv fnv;
+    FieldHasher fnv;
     fnv.str(source);
     fnv.str(variant);
     fnv.str(revision);
@@ -137,20 +91,21 @@ continuationFingerprint(const std::string &source,
                         const std::string &revision,
                         const ContinuationState &state)
 {
-    Fnv fnv;
+    FieldHasher fnv;
     fnv.u64(shardJobFingerprint(source, variant, revision,
                                 state.planTarget));
     fnv.u64(state.planSize);
     fnv.u64(state.nextShard);
     fnv.u64(state.nextOffset);
-    fnv.u64(state.candidates);
-    fnv.u64(state.consistent);
-    fnv.u64(state.witnesses);
-    fnv.u64(state.constrainedUnpredictable);
-    fnv.u64(state.unknownSideEffects);
-    fnv.str(state.forbiddingAxiom);
-    fnv.u64(state.forbiddingCycle.size());
-    for (std::uint32_t id : state.forbiddingCycle)
+    const CachedVerdict &prefix = state.prefix;
+    fnv.u64(prefix.candidates);
+    fnv.u64(prefix.consistent);
+    fnv.u64(prefix.witnesses);
+    fnv.u64(prefix.constrainedUnpredictable);
+    fnv.u64(prefix.unknownSideEffects);
+    fnv.str(prefix.forbiddingAxiom);
+    fnv.u64(prefix.forbiddingCycle.size());
+    for (EventId id : prefix.forbiddingCycle)
         fnv.u64(id);
     return fnv.hash;
 }
@@ -158,17 +113,18 @@ continuationFingerprint(const std::string &source,
 std::string
 serializeContinuation(const ContinuationState &state)
 {
+    const CachedVerdict &prefix = state.prefix;
     std::string token = format(
         "%s:%016" PRIx64 ":%" PRIu64 ":%" PRIu64 ":%" PRIu64 ":%" PRIu64
         ":%" PRIu64 ":%" PRIu64 ":%" PRIu64 ":%" PRIu64 ":%" PRIu64
         ":%s:%zu",
         kContinuationMagic, state.fingerprint, state.planTarget,
         state.planSize, state.nextShard, state.nextOffset,
-        state.candidates, state.consistent, state.witnesses,
-        state.constrainedUnpredictable, state.unknownSideEffects,
-        hexEncode(state.forbiddingAxiom).c_str(),
-        state.forbiddingCycle.size());
-    for (std::uint32_t id : state.forbiddingCycle)
+        prefix.candidates, prefix.consistent, prefix.witnesses,
+        prefix.constrainedUnpredictable, prefix.unknownSideEffects,
+        hexEncode(prefix.forbiddingAxiom).c_str(),
+        prefix.forbiddingCycle.size());
+    for (EventId id : prefix.forbiddingCycle)
         token += format(":%" PRIu32, id);
     return token;
 }
@@ -185,6 +141,7 @@ parseContinuation(const std::string &token, ContinuationState &out,
                            "' (want " + kContinuationMagic + ")");
     }
     ContinuationState state;
+    CachedVerdict &prefix = state.prefix;
     if (!parseHex64(fields[1], state.fingerprint))
         return fail(error, "continuation: malformed fingerprint");
     struct FieldSlot {
@@ -197,34 +154,33 @@ parseContinuation(const std::string &token, ContinuationState &out,
         {3, &state.planSize, "plan size"},
         {4, &state.nextShard, "next shard"},
         {5, &state.nextOffset, "next offset"},
-        {6, &state.candidates, "candidates"},
-        {7, &state.consistent, "consistent"},
-        {8, &state.witnesses, "witnesses"},
-        {9, &state.constrainedUnpredictable, "cu count"},
-        {10, &state.unknownSideEffects, "unknown count"},
+        {6, &prefix.candidates, "candidates"},
+        {7, &prefix.consistent, "consistent"},
+        {8, &prefix.witnesses, "witnesses"},
+        {9, &prefix.constrainedUnpredictable, "cu count"},
+        {10, &prefix.unknownSideEffects, "unknown count"},
     };
     for (const FieldSlot &slot : slots) {
-        if (!parseU64(fields[slot.index], *slot.value)) {
+        if (!parseCanonicalU64(fields[slot.index], *slot.value)) {
             return fail(error, std::string("continuation: malformed ") +
                                slot.name);
         }
     }
-    if (!hexDecode(fields[11], state.forbiddingAxiom))
+    if (!hexDecode(fields[11], prefix.forbiddingAxiom))
         return fail(error, "continuation: malformed axiom");
     std::uint64_t cycleLen = 0;
-    if (!parseU64(fields[12], cycleLen))
+    if (!parseCanonicalU64(fields[12], cycleLen))
         return fail(error, "continuation: malformed cycle length");
-    if (fields.size() != 13 + cycleLen)
+    if (cycleLen != fields.size() - 13)
         return fail(error, "continuation: cycle length mismatch");
-    state.forbiddingCycle.reserve(static_cast<std::size_t>(cycleLen));
-    for (std::uint64_t i = 0; i < cycleLen; ++i) {
+    prefix.forbiddingCycle.reserve(static_cast<std::size_t>(cycleLen));
+    for (std::size_t i = 13; i < fields.size(); ++i) {
         std::uint64_t id = 0;
-        if (!parseU64(fields[13 + static_cast<std::size_t>(i)], id) ||
-                id > 0xffffffffull) {
+        if (!parseCanonicalU64(fields[i], id) || id > 0xffffffffull)
             return fail(error, "continuation: malformed cycle event");
-        }
-        state.forbiddingCycle.push_back(static_cast<std::uint32_t>(id));
+        prefix.forbiddingCycle.push_back(static_cast<EventId>(id));
     }
+    prefix.observable = prefix.witnesses > 0;
     if (state.planTarget == 0)
         return fail(error, "continuation: zero plan target");
     out = std::move(state);

@@ -31,14 +31,16 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
+
+#include "engine/cache.hh"
 
 namespace rex::engine {
 
 /** Token prefix; bump on any layout or semantics change. */
 inline constexpr const char *kContinuationMagic = "rex-cont-v1";
 
-/** A paused staged check: cursor + partial counts + diagnostics. */
+/** A paused staged check: its cursor plus the verdict of the prefix
+ *  below it. */
 struct ContinuationState {
     /** continuationFingerprint() over the job identity and every field
      *  below; recomputed and compared on acceptance. */
@@ -56,16 +58,13 @@ struct ContinuationState {
     /** Candidates into that shard already merged. */
     std::uint64_t nextOffset = 0;
 
-    /** Partial counts over the prefix below the cursor. */
-    std::uint64_t candidates = 0;
-    std::uint64_t consistent = 0;
-    std::uint64_t witnesses = 0;
-    std::uint64_t constrainedUnpredictable = 0;
-    std::uint64_t unknownSideEffects = 0;
-
-    /** First satisfying candidate's rejection, if one was seen. */
-    std::string forbiddingAxiom;
-    std::vector<std::uint32_t> forbiddingCycle;
+    /**
+     * The merged verdict of the enumeration-order prefix below the
+     * cursor: its counts and its first satisfying candidate's
+     * rejection. observable is not serialized; a parsed token sets it
+     * to witnesses > 0, as the merge that produced it did.
+     */
+    CachedVerdict prefix;
 };
 
 /**

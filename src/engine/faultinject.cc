@@ -2,22 +2,13 @@
 
 #include <cstdlib>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/strings.hh"
 
 namespace rex::engine {
 
 namespace {
-
-/** splitmix64: a well-mixed 64->64 hash (public-domain constants). */
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 constexpr std::size_t kPointCount =
     static_cast<std::size_t>(FaultPoint::kCount);

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <new>
 #include <optional>
-#include <sstream>
 
 #include <poll.h>
 #include <sys/mman.h>
@@ -69,49 +68,15 @@ sendFrame(int fd, const std::string &payload)
            sendAllFd(fd, payload.data(), payload.size());
 }
 
-/** Blocking exact read (worker side); false on EOF or error. */
-bool
-recvExact(int fd, void *data, std::size_t len)
-{
-    char *p = static_cast<char *>(data);
-    while (len > 0) {
-        ssize_t n = ::read(fd, p, len);
-        if (n == 0)
-            return false;
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** Blocking frame read (worker side); false on EOF/error/oversize. */
-bool
-recvFrame(int fd, std::string &payload)
-{
-    unsigned char header[4];
-    if (!recvExact(fd, header, sizeof(header)))
-        return false;
-    const std::size_t len = (std::size_t(header[0]) << 24) |
-                            (std::size_t(header[1]) << 16) |
-                            (std::size_t(header[2]) << 8) |
-                            std::size_t(header[3]);
-    if (len > kMaxFrameBytes)
-        return false;
-    payload.resize(len);
-    return len == 0 || recvExact(fd, payload.data(), len);
-}
-
 enum class RecvStatus { Ok, Eof, Timeout, Error };
 
 /**
- * Parent-side frame read with an optional hard deadline: poll()s so a
- * worker that stops answering — crashed (EOF) or wedged (timeout) — is
- * always distinguishable and always bounded.
+ * Frame read with an optional deadline: poll()s so a worker that stops
+ * answering — crashed (EOF) or wedged (timeout) — is always
+ * distinguishable and always bounded. Both ends read with it: the
+ * worker blocks without a deadline. Bytes past the frame are dropped,
+ * which is safe because each end has at most one frame in flight (one
+ * job per busy slot, one reply per job).
  */
 RecvStatus
 recvFrameDeadline(int fd,
@@ -200,171 +165,37 @@ buildJobPayload(const std::string &sourceText, const std::string &variant,
 }
 
 bool
-parseJobPayload(const std::string &payload, Job &job)
+parseJobPayload(std::string_view payload, Job &job)
 {
-    std::size_t pos = 0;
-    auto nextLine = [&](std::string &line) {
-        const std::size_t eol = payload.find('\n', pos);
-        if (eol == std::string::npos)
-            return false;
-        line = payload.substr(pos, eol - pos);
-        pos = eol + 1;
-        return true;
+    constexpr std::string_view magic = "rex-job-v1\n";
+    if (!startsWith(payload, magic))
+        return false;
+    std::size_t pos = magic.size();
+    auto number = [&](std::string_view name, std::uint64_t &out) {
+        const std::optional<std::string_view> value =
+            takeFieldLine(payload, pos, name);
+        return value && parseCanonicalU64(*value, out);
     };
-    std::string line;
-    if (!nextLine(line) || line != "rex-job-v1")
+    auto flag = [&](std::string_view name, bool &out) {
+        const std::optional<std::string_view> value =
+            takeFieldLine(payload, pos, name);
+        out = value == "1";
+        return value.has_value();
+    };
+    const std::optional<std::string_view> variant =
+        takeFieldLine(payload, pos, "variant");
+    std::uint64_t testlen = 0;
+    if (!variant || !number("deadline_us", job.budget.deadlineMicros) ||
+            !number("max_candidates", job.budget.maxCandidates) ||
+            !number("max_heap", job.budget.maxHeapBytes) ||
+            !flag("crash", job.crash) || !flag("hang", job.hang) ||
+            !number("testlen", testlen) ||
+            payload.size() - pos != testlen) {
         return false;
-    while (nextLine(line)) {
-        const std::size_t space = line.find(' ');
-        const std::string field = line.substr(0, space);
-        const std::string rest =
-            space == std::string::npos ? "" : line.substr(space + 1);
-        if (field == "variant") {
-            job.variant = rest;
-        } else if (field == "deadline_us") {
-            job.budget.deadlineMicros =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "max_candidates") {
-            job.budget.maxCandidates =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "max_heap") {
-            job.budget.maxHeapBytes =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "crash") {
-            job.crash = rest == "1";
-        } else if (field == "hang") {
-            job.hang = rest == "1";
-        } else if (field == "testlen") {
-            const std::size_t len =
-                std::strtoull(rest.c_str(), nullptr, 10);
-            if (payload.size() - pos != len)
-                return false;
-            job.testText = payload.substr(pos, len);
-            return true;
-        } else {
-            return false;
-        }
     }
-    return false;
-}
-
-/** A worker's answer: a completed/exhausted verdict or a job error. */
-struct WireResponse {
-    enum class Status { Ok, Exhausted, Error } status = Status::Error;
-    CachedVerdict verdict;
-    std::string axis;
-    std::string stage;
-    std::string error;
-};
-
-std::string
-buildResponsePayload(const WireResponse &response)
-{
-    std::string payload = "rex-verdict-ipc-v1\n";
-    const char *status =
-        response.status == WireResponse::Status::Ok
-            ? "ok"
-            : response.status == WireResponse::Status::Exhausted
-                  ? "exhausted"
-                  : "error";
-    payload += format("status %s\n", status);
-    const CachedVerdict &v = response.verdict;
-    payload += format("observable %d\n", v.observable ? 1 : 0);
-    payload += format("candidates %" PRIu64 "\n", v.candidates);
-    payload += format("consistent %" PRIu64 "\n", v.consistent);
-    payload += format("witnesses %" PRIu64 "\n", v.witnesses);
-    payload += format("cu %" PRIu64 "\n", v.constrainedUnpredictable);
-    payload += format("unknown %" PRIu64 "\n", v.unknownSideEffects);
-    if (!v.forbiddingAxiom.empty())
-        payload += "axiom " + v.forbiddingAxiom + "\n";
-    if (!v.forbiddingCycle.empty()) {
-        payload += "cycle";
-        for (EventId id : v.forbiddingCycle)
-            payload += " " + std::to_string(id);
-        payload += "\n";
-    }
-    if (!response.axis.empty())
-        payload += "axis " + response.axis + "\n";
-    if (!response.stage.empty())
-        payload += "stage " + response.stage + "\n";
-    if (!response.error.empty())
-        payload += "error " + response.error + "\n";
-    return payload;
-}
-
-bool
-parseResponsePayload(const std::string &payload, WireResponse &response)
-{
-    std::istringstream stream(payload);
-    std::string line;
-    if (!std::getline(stream, line) || line != "rex-verdict-ipc-v1")
-        return false;
-    bool haveStatus = false;
-    while (std::getline(stream, line)) {
-        const std::size_t space = line.find(' ');
-        const std::string field = line.substr(0, space);
-        const std::string rest =
-            space == std::string::npos ? "" : line.substr(space + 1);
-        if (field == "status") {
-            haveStatus = true;
-            if (rest == "ok")
-                response.status = WireResponse::Status::Ok;
-            else if (rest == "exhausted")
-                response.status = WireResponse::Status::Exhausted;
-            else if (rest == "error")
-                response.status = WireResponse::Status::Error;
-            else
-                return false;
-        } else if (field == "observable") {
-            response.verdict.observable = rest == "1";
-        } else if (field == "candidates") {
-            response.verdict.candidates =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "consistent") {
-            response.verdict.consistent =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "witnesses") {
-            response.verdict.witnesses =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "cu") {
-            response.verdict.constrainedUnpredictable =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "unknown") {
-            response.verdict.unknownSideEffects =
-                std::strtoull(rest.c_str(), nullptr, 10);
-        } else if (field == "axiom") {
-            response.verdict.forbiddingAxiom = rest;
-        } else if (field == "cycle") {
-            for (const std::string &id : splitWhitespace(rest)) {
-                response.verdict.forbiddingCycle.push_back(
-                    static_cast<EventId>(
-                        std::strtoul(id.c_str(), nullptr, 10)));
-            }
-        } else if (field == "axis") {
-            response.axis = rest;
-        } else if (field == "stage") {
-            response.stage = rest;
-        } else if (field == "error") {
-            response.error = rest;
-        } else {
-            return false;
-        }
-    }
-    return haveStatus;
-}
-
-std::string
-errorResponse(const std::string &message)
-{
-    WireResponse response;
-    response.status = WireResponse::Status::Error;
-    // The payload is line-oriented; keep the message to one line.
-    std::string flat = message;
-    for (char &c : flat)
-        if (c == '\n' || c == '\r')
-            c = ' ';
-    response.error = flat.empty() ? "unspecified" : flat;
-    return buildResponsePayload(response);
+    job.variant = *variant;
+    job.testText = payload.substr(pos);
+    return true;
 }
 
 /** Name a waitpid() status: the fatal signal, or "exit:N". */
@@ -412,10 +243,13 @@ workerLoop(int fd, CrashContext *status)
     setCrashContextTarget(status);
 
     std::string payload;
-    while (recvFrame(fd, payload)) {
+    while (recvFrameDeadline(fd, nullptr, payload) == RecvStatus::Ok) {
         Job job;
         if (!parseJobPayload(payload, job)) {
-            if (!sendFrame(fd, errorResponse("malformed job frame")))
+            SupervisedOutcome refused;
+            refused.kind = SupervisedOutcome::Kind::Crashed;
+            refused.error = "malformed job frame";
+            if (!sendFrame(fd, encodeWorkerReply(refused)))
                 break;
             continue;
         }
@@ -432,7 +266,7 @@ workerLoop(int fd, CrashContext *status)
                 spin = spin + 1;
         }
 
-        std::string reply;
+        SupervisedOutcome reply;
         try {
             LitmusTest test = parseLitmus(job.testText);
             const ModelParams params = ModelParams::byName(job.variant);
@@ -444,21 +278,21 @@ workerLoop(int fd, CrashContext *status)
             const CheckResult result =
                 checkTest(test, params, /*stop_at_first=*/true,
                           /*capture_witness=*/false, nullptr, &governor);
-            WireResponse response;
+            reply.verdict = CachedVerdict::fromResult(result);
             if (result.complete()) {
-                response.status = WireResponse::Status::Ok;
+                reply.kind = SupervisedOutcome::Kind::Ok;
             } else {
-                response.status = WireResponse::Status::Exhausted;
-                response.axis = result.exhaustedAxis;
-                response.stage = governor.stageReached();
+                reply.kind = SupervisedOutcome::Kind::Exhausted;
+                reply.exhaustedAxis = result.exhaustedAxis;
+                reply.stage = governor.stageReached();
             }
-            response.verdict = CachedVerdict::fromResult(result);
-            reply = buildResponsePayload(response);
         } catch (const std::exception &err) {
-            reply = errorResponse(err.what());
+            reply = SupervisedOutcome{};
+            reply.kind = SupervisedOutcome::Kind::Crashed;
+            reply.error = err.what();
         }
         crashContextClearJob();
-        if (!sendFrame(fd, reply))
+        if (!sendFrame(fd, encodeWorkerReply(reply)))
             break;
     }
     _exit(0);
@@ -476,6 +310,81 @@ prefillStatusPage(CrashContext *page, const std::string &test,
 }
 
 } // namespace
+
+std::string
+encodeWorkerReply(const SupervisedOutcome &outcome)
+{
+    const bool ok = outcome.kind == SupervisedOutcome::Kind::Ok;
+    const bool exhausted =
+        outcome.kind == SupervisedOutcome::Kind::Exhausted;
+    std::string payload = "rex-verdict-ipc-v1\n";
+    payload += ok ? "status ok\n"
+                  : exhausted ? "status exhausted\n" : "status error\n";
+    outcome.verdict.writeFields(payload);
+    if (exhausted && !outcome.exhaustedAxis.empty())
+        payload += "axis " + outcome.exhaustedAxis + "\n";
+    if (exhausted && !outcome.stage.empty())
+        payload += "stage " + outcome.stage + "\n";
+    if (!ok && !exhausted) {
+        // The payload is line-oriented; keep the message to one line.
+        std::string flat =
+            outcome.error.empty() ? "unspecified" : outcome.error;
+        for (char &c : flat) {
+            if (c == '\n' || c == '\r')
+                c = ' ';
+        }
+        payload += "error " + flat + "\n";
+    }
+    return payload;
+}
+
+bool
+decodeWorkerReply(std::string_view payload, SupervisedOutcome &out)
+{
+    constexpr std::string_view magic = "rex-verdict-ipc-v1\n";
+    if (!startsWith(payload, magic))
+        return false;
+    std::size_t pos = magic.size();
+    SupervisedOutcome reply;
+    const std::optional<std::string_view> status =
+        takeFieldLine(payload, pos, "status");
+    if (status == "ok") {
+        reply.kind = SupervisedOutcome::Kind::Ok;
+    } else if (status == "exhausted") {
+        reply.kind = SupervisedOutcome::Kind::Exhausted;
+    } else if (status == "error") {
+        reply.kind = SupervisedOutcome::Kind::Crashed;
+        reply.signal = "worker-error";
+    } else {
+        return false;
+    }
+    std::optional<CachedVerdict> verdict =
+        CachedVerdict::readFields(payload, pos);
+    if (!verdict)
+        return false;
+    reply.verdict = std::move(*verdict);
+    // An optional line is written only when its value is non-empty.
+    auto line = [&](std::string_view name, std::string &into) {
+        const std::optional<std::string_view> value =
+            takeFieldLine(payload, pos, name);
+        if (value)
+            into = *value;
+        return !value || !value->empty();
+    };
+    bool fields = true;
+    if (reply.kind == SupervisedOutcome::Kind::Exhausted) {
+        fields = line("axis", reply.exhaustedAxis) &&
+                 line("stage", reply.stage);
+    } else if (reply.kind == SupervisedOutcome::Kind::Crashed) {
+        // The writer flattens line breaks out of the message.
+        fields = line("error", reply.error) && !reply.error.empty() &&
+                 reply.error.find('\r') == std::string::npos;
+    }
+    if (!fields || pos != payload.size())
+        return false;
+    out = std::move(reply);
+    return true;
+}
 
 Supervisor::Supervisor(SupervisorConfig config) : _config(config)
 {
@@ -777,31 +686,21 @@ Supervisor::run(const std::string &sourceText, const std::string &testName,
     if (received != RecvStatus::Ok)
         return finishCrash(reapWorker(pid));
 
-    WireResponse response;
-    if (!parseResponsePayload(payload, response)) {
+    if (!decodeWorkerReply(payload, outcome)) {
         // Protocol corruption: the worker is not trustworthy anymore.
         ::kill(pid, SIGKILL);
         reapWorker(pid);
         return finishCrash("protocol-error");
     }
 
-    if (response.status == WireResponse::Status::Error) {
+    if (outcome.kind == SupervisedOutcome::Kind::Crashed) {
         // The worker survived but refused the job (a parse/validation
         // error the parent did not hit — deterministic, so it counts
         // toward quarantine). The slot stays alive.
-        warn("supervised worker error: " + response.error);
-        outcome.kind = SupervisedOutcome::Kind::Crashed;
-        outcome.signal = "worker-error";
+        warn("supervised worker error: " + outcome.error);
         outcome.stage = status->stage;
-        outcome.crashes = chargeLedger(ledgerKey, "worker-error");
-        countCrash("worker-error");
-    } else {
-        outcome.kind = response.status == WireResponse::Status::Ok
-                           ? SupervisedOutcome::Kind::Ok
-                           : SupervisedOutcome::Kind::Exhausted;
-        outcome.verdict = response.verdict;
-        outcome.exhaustedAxis = response.axis;
-        outcome.stage = response.stage;
+        outcome.crashes = chargeLedger(ledgerKey, outcome.signal);
+        countCrash(outcome.signal);
     }
 
     {

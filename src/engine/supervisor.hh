@@ -63,6 +63,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -122,7 +123,28 @@ struct SupervisedOutcome {
 
     /** Ledger crash count for the job's key (Crashed/Quarantined). */
     std::uint64_t crashes = 0;
+
+    /** The worker's message when it refused the job (Crashed with
+     *  signal "worker-error"). */
+    std::string error;
 };
+
+/**
+ * The worker's reply frame (`rex-verdict-ipc-v1`, docs/FORMAT.md) for
+ * @p outcome: "status ok" (Ok), "status exhausted" plus its axis and
+ * stage (Exhausted) or "status error" plus the message flattened to
+ * one line (any other kind), with the verdict's field lines
+ * (CachedVerdict::writeFields) after the status.
+ */
+std::string encodeWorkerReply(const SupervisedOutcome &outcome);
+
+/**
+ * Decode a reply frame into @p out: Ok and Exhausted as sent, an error
+ * as Crashed with signal "worker-error". Strict, like the field codec:
+ * an accepted frame encodes back to the same bytes.
+ * @return false (with @p out untouched) on a malformed frame
+ */
+bool decodeWorkerReply(std::string_view payload, SupervisedOutcome &out);
 
 /** A pre-forked worker-process pool plus its supervising state. */
 class Supervisor

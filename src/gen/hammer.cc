@@ -8,16 +8,13 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <optional>
 #include <set>
 #include <sstream>
 
-#include "axiomatic/enumerate.hh"
+#include "axiomatic/checker.hh"
 #include "base/fsync.hh"
+#include "base/hash.hh"
 #include "base/logging.hh"
-#include "catc/cache.hh"
-#include "catc/exec.hh"
 #include "engine/batch.hh"
 #include "engine/cache.hh"
 #include "isa/register.hh"
@@ -27,14 +24,6 @@
 
 namespace rex::gen {
 
-namespace {
-
-/**
- * The operational machine's Outcome::key() projection of a candidate:
- * the condition's registers plus every memory location, sorted by name.
- * Keeping the two sides' keys in lockstep is what makes the subset
- * comparison meaningful.
- */
 std::string
 outcomeKey(const LitmusTest &test, const CandidateExecution &cand)
 {
@@ -53,34 +42,6 @@ outcomeKey(const LitmusTest &test, const CandidateExecution &cand)
     return out;
 }
 
-// ---------------------------------------------------------------------
-// Config fingerprinting (FNV-1a 64).
-// ---------------------------------------------------------------------
-
-struct Fnv {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-
-    void
-    bytes(const void *data, std::size_t size)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i) {
-            hash ^= p[i];
-            hash *= 0x100000001b3ull;
-        }
-    }
-
-    void u64(std::uint64_t value) { bytes(&value, sizeof(value)); }
-    void
-    str(const std::string &value)
-    {
-        u64(value.size());
-        bytes(value.data(), value.size());
-    }
-};
-
-} // namespace
-
 Hammer::Hammer(HammerConfig config) : _config(std::move(config))
 {
     rexAssert(_config.seedBegin <= _config.seedEnd,
@@ -95,7 +56,7 @@ Hammer::Hammer(HammerConfig config) : _config(std::move(config))
 std::uint64_t
 Hammer::fingerprint() const
 {
-    Fnv fnv;
+    FieldHasher fnv;
     fnv.u64(kGeneratorRevision);
     fnv.str(engine::kModelRevision);
     fnv.u64(_config.seedBegin);
@@ -149,46 +110,17 @@ soundnessCheck(const GeneratedTest &generated, const HammerConfig &config)
     result.features = generated.features;
 
     // Axiomatic side: every consistent candidate's outcome key, from
-    // the compiled model folded once per trace combination (the same
-    // program checkTest and rexd run). The governor bounds pathological
-    // seeds; a trip means Skipped, not a verdict.
+    // the compiled model (the same program checkTest and rexd run). The
+    // governor bounds pathological seeds; a trip means Skipped, not a
+    // verdict.
     engine::Governor governor(config.budget);
-    const engine::CancelToken *token = governor.token();
-    const std::shared_ptr<const catc::FoldPlan> plan =
-        catc::planForCheck(config.params);
-
     std::set<std::string> allowed;
-    bool aborted = false;
-    std::optional<catc::FoldedProgram> folded;
-    std::uint64_t folded_combo = 0;
-
-    CandidateEnumerator enumerator(test, token);
-    enumerator.forEachStaged(
-        [&](CandidateExecution &cand,
-            const CandidateEnumerator::StagedInfo &info) {
-            if (!governor.admit()) {
-                aborted = true;
-                return false;
-            }
-            if (!info.coherent)
-                return true;  // internal axiom rejects; key irrelevant
-            if (!folded)
-                folded.emplace(*plan, cand);
-            else if (folded_combo != info.comboIndex)
-                folded->refold(cand);
-            folded_combo = info.comboIndex;
-            const ModelResult model = folded->runFast(cand, token);
-            if (model.aborted) {
-                aborted = true;
-                return false;
-            }
-            if (model.consistent)
+    if (!forEachConsistent(
+            test, config.params,
+            [&](const CandidateExecution &cand) {
                 allowed.insert(outcomeKey(test, cand));
-            return true;
-        },
-        token);
-
-    if (aborted || governor.tripped()) {
+            },
+            &governor)) {
         result.outcome = SeedOutcome::Skipped;
         return result;
     }

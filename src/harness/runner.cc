@@ -6,6 +6,7 @@
 
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
+#include "base/hash.hh"
 #include "base/strings.hh"
 #include "cat/catmodel.hh"
 #include "catc/cache.hh"
@@ -43,25 +44,6 @@ condString(const LitmusTest &test)
     return out;
 }
 
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-hashBytes(std::uint64_t hash, const std::string &text)
-{
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 /** The expected verdict of @p test under @p variant (by name). */
 bool
 expectedVerdict(const LitmusTest &test, const std::string &variant,
@@ -80,10 +62,9 @@ std::uint64_t
 FigureOptions::seedFor(const std::string &test_name,
                        const std::string &profile_name) const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull ^ seed;
-    hash = hashBytes(hash, test_name);
-    hash ^= 0x9E3779B97F4A7C15ull;
-    hash = hashBytes(hash, profile_name);
+    std::uint64_t hash = fnv1a(kFnvOffset ^ seed, test_name);
+    hash ^= kSplitmixGamma;
+    hash = fnv1a(hash, profile_name);
     // Finalize so adjacent base seeds give unrelated streams; never 0
     // (xorshift RNGs have a fixed point there).
     std::uint64_t out = splitmix64(hash);

@@ -13,6 +13,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/strings.hh"
 #include "engine/results.hh"
@@ -63,13 +64,12 @@ retryDelayMs(const RetryPolicy &policy, int attempt, int retryAfterSeconds)
     for (int i = 1; i < attempt && delay < policy.maxDelayMs; ++i)
         delay *= 2;
     delay = std::min<std::int64_t>(delay, policy.maxDelayMs);
-    // Deterministic +-25% jitter (splitmix64 over seed + attempt), so
-    // synchronized clients fan out but tests stay reproducible.
-    std::uint64_t z = policy.jitterSeed + static_cast<std::uint64_t>(
-                                              attempt) * 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
+    // Deterministic +-25% jitter (the attempt-th output of a splitmix64
+    // stream seeded at jitterSeed), so synchronized clients fan out but
+    // tests stay reproducible.
+    const std::uint64_t z = splitmix64(
+        policy.jitterSeed +
+        static_cast<std::uint64_t>(attempt - 1) * kSplitmixGamma);
     const std::int64_t quarter = delay / 4;
     if (quarter > 0) {
         delay += static_cast<std::int64_t>(

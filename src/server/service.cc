@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "axiomatic/params.hh"
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/strings.hh"
 #include "catc/cache.hh"
@@ -155,18 +156,10 @@ verdictETag(const std::string &canonicalKey, const std::string &revision)
 {
     // FNV-1a, same function the verdict cache uses for content
     // addresses: cheap, stable across builds, collision-safe enough
-    // for a cache validator.
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    auto mix = [&hash](const std::string &text) {
-        for (unsigned char c : text) {
-            hash ^= c;
-            hash *= 0x100000001b3ull;
-        }
-    };
-    mix(revision);
-    hash ^= 0xff;
-    hash *= 0x100000001b3ull;
-    mix(canonicalKey);
+    // for a cache validator. A 0xff byte separates the two texts.
+    std::uint64_t hash = fnv1a(kFnvOffset, revision);
+    hash = fnv1a(hash, "\xff");
+    hash = fnv1a(hash, canonicalKey);
     return format("\"%016" PRIx64 "\"", hash);
 }
 

@@ -20,6 +20,7 @@
 
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
+#include "base/hash.hh"
 #include "base/strings.hh"
 #include "engine/batch.hh"
 #include "engine/continuation.hh"
@@ -65,9 +66,7 @@ std::uint64_t
 mix(const std::string &name, const std::string &variant,
     std::uint64_t salt)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull ^ salt;
-    for (char c : name + ":" + variant)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    std::uint64_t h = fnv1a(kFnvOffset ^ salt, name + ":" + variant);
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
     h ^= h >> 33;
@@ -83,13 +82,13 @@ sampleState()
     state.planSize = 17;
     state.nextShard = 3;
     state.nextOffset = 41;
-    state.candidates = 812;
-    state.consistent = 33;
-    state.witnesses = 2;
-    state.constrainedUnpredictable = 5;
-    state.unknownSideEffects = 1;
-    state.forbiddingAxiom = "external:unusual \"chars\" \n ok";
-    state.forbiddingCycle = {0, 7, 4294967295u};
+    state.prefix.candidates = 812;
+    state.prefix.consistent = 33;
+    state.prefix.witnesses = 2;
+    state.prefix.constrainedUnpredictable = 5;
+    state.prefix.unknownSideEffects = 1;
+    state.prefix.forbiddingAxiom = "external:unusual \"chars\" \n ok";
+    state.prefix.forbiddingCycle = {0, 7, 4294967295u};
     state.fingerprint = engine::continuationFingerprint(
         "src", "base", engine::kModelRevision, state);
     return state;
@@ -156,14 +155,15 @@ TEST(ContinuationToken, RoundTripsEveryField)
     EXPECT_EQ(back.planSize, state.planSize);
     EXPECT_EQ(back.nextShard, state.nextShard);
     EXPECT_EQ(back.nextOffset, state.nextOffset);
-    EXPECT_EQ(back.candidates, state.candidates);
-    EXPECT_EQ(back.consistent, state.consistent);
-    EXPECT_EQ(back.witnesses, state.witnesses);
-    EXPECT_EQ(back.constrainedUnpredictable,
-              state.constrainedUnpredictable);
-    EXPECT_EQ(back.unknownSideEffects, state.unknownSideEffects);
-    EXPECT_EQ(back.forbiddingAxiom, state.forbiddingAxiom);
-    EXPECT_EQ(back.forbiddingCycle, state.forbiddingCycle);
+    EXPECT_EQ(back.prefix.candidates, state.prefix.candidates);
+    EXPECT_EQ(back.prefix.consistent, state.prefix.consistent);
+    EXPECT_EQ(back.prefix.witnesses, state.prefix.witnesses);
+    EXPECT_EQ(back.prefix.constrainedUnpredictable,
+              state.prefix.constrainedUnpredictable);
+    EXPECT_EQ(back.prefix.unknownSideEffects,
+              state.prefix.unknownSideEffects);
+    EXPECT_EQ(back.prefix.forbiddingAxiom, state.prefix.forbiddingAxiom);
+    EXPECT_EQ(back.prefix.forbiddingCycle, state.prefix.forbiddingCycle);
 
     // Serialization is canonical: a round-trip re-serializes to the
     // same bytes.
@@ -218,7 +218,7 @@ TEST(ContinuationToken, FingerprintCoversIdentityAndPayload)
                          tampered))
         << "a tampered cursor must invalidate the token";
     tampered = state;
-    tampered.witnesses += 1;
+    tampered.prefix.witnesses += 1;
     EXPECT_NE(print, engine::continuationFingerprint(
                          "src", "base", engine::kModelRevision,
                          tampered))
@@ -646,7 +646,7 @@ TEST(ResumeProtocol, ForgedTokenNeverPoisonsTheVerdictCache)
         engine::ContinuationState forged = state;
         forged.nextShard = state.planSize - 1;
         forged.nextOffset = 0;
-        forged.witnesses = 1;
+        forged.prefix.witnesses = 1;
         EXPECT_EQ(postForged(service, source, forged).status, 200)
             << name;
 

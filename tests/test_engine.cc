@@ -22,6 +22,7 @@
 #include "engine/cache.hh"
 #include "engine/pool.hh"
 #include "engine/results.hh"
+#include "engine/supervisor.hh"
 #include "harness/runner.hh"
 #include "litmus/registry.hh"
 
@@ -396,6 +397,204 @@ TEST(VerdictCache, DisabledCacheNeverHits)
         engine::VerdictKey::make(test, ModelParams::base());
     cache.store(key, engine::CachedVerdict{});
     EXPECT_FALSE(cache.lookup(key).has_value());
+}
+
+// ---------------------------------------------------------------------
+// The verdict codec: disk entries and worker replies
+// ---------------------------------------------------------------------
+
+/** SB+pos's rex-verdict-v2 entry under base at model revision
+ *  fig9-catc-r2, byte for byte as written before the disk entry and
+ *  the worker reply shared one field codec. */
+const char kPinnedEntry[] = R"entry(rex-verdict-v2
+checksum f9efa530fde86b24
+observable 0
+candidates 12
+consistent 3
+witnesses 0
+cu 1
+unknown 2
+axiom external
+cycle 3 7 12
+keylen 374
+revision fig9-catc-r2
+params exs=0 eis=1 eos=1 seaR=0 seaW=0 ets2=1 gic=1
+litmus-canonical-v1
+name SB+pos
+locations x=0 y=0
+thread 0 el=0 masked=0 eoimode1=0 sgirx=0 X1=4096 X3=8192
+program 0:
+    MOV X0,#1
+    STR X0,[X1]
+    LDR X2,[X3]
+thread 1 el=0 masked=0 eoimode1=0 sgirx=0 X1=8192 X3=4096
+program 1:
+    MOV X0,#1
+    STR X0,[X1]
+    LDR X2,[X3]
+final 0:X2=0 1:X2=0
+)entry";
+
+TEST(VerdictCodec, PinnedDiskEntryIsAHitAndIsRewrittenByteForByte)
+{
+    const LitmusTest &test = TestRegistry::instance().get("SB+pos");
+    const engine::VerdictKey key = engine::VerdictKey::make(
+        test, ModelParams::base(), "fig9-catc-r2");
+    ASSERT_EQ(key.hashHex(), "70e3e1ffe507c043");
+    engine::CachedVerdict expected;
+    expected.candidates = 12;
+    expected.consistent = 3;
+    expected.constrainedUnpredictable = 1;
+    expected.unknownSideEffects = 2;
+    expected.forbiddingAxiom = "external";
+    expected.forbiddingCycle = {3, 7, 12};
+
+    const std::string dir = scratchDir("pinned_read");
+    {
+        std::ofstream out(dir + "/" + key.hashHex() + ".rexv",
+                          std::ios::binary);
+        out << kPinnedEntry;
+    }
+    engine::VerdictCache reader(true, dir);
+    const std::optional<engine::CachedVerdict> back = reader.lookup(key);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, expected);
+    EXPECT_EQ(reader.hits(), 1u);
+    EXPECT_EQ(reader.corruptEvictions(), 0u);
+
+    const std::string rewritten = scratchDir("pinned_write");
+    engine::VerdictCache(true, rewritten).store(key, *back);
+    std::ifstream in(rewritten + "/" + key.hashHex() + ".rexv",
+                     std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, kPinnedEntry);
+}
+
+TEST(VerdictCodec, FieldsRoundTripAndRejectNonCanonicalText)
+{
+    engine::CachedVerdict verdict;
+    verdict.candidates = 812;
+    verdict.consistent = 33;
+    verdict.forbiddingAxiom = "external";
+    verdict.forbiddingCycle = {0, 7, 4294967295u};
+    std::string text = "prefix\n";
+    std::size_t pos = text.size();
+    verdict.writeFields(text);
+    text += "trailer 1\n";
+    const std::optional<engine::CachedVerdict> back =
+        engine::CachedVerdict::readFields(text, pos);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, verdict);
+    EXPECT_EQ(text.substr(pos), "trailer 1\n");
+
+    const std::string counts =
+        "candidates 1\nconsistent 0\nwitnesses 0\ncu 0\nunknown 0\n";
+    const std::string afterCandidates = counts.substr(13);
+    const std::vector<std::string> malformed = {
+        "observable 2\n" + counts,
+        "observable 0\ncandidates 01\n" + afterCandidates,
+        "observable 0\ncandidates 18446744073709551616\n" + afterCandidates,
+        "observable 0\nconsistent 0\ncandidates 1\n" +
+            counts.substr(26),
+        "observable 0\n" + counts.substr(0, counts.size() - 10),
+    };
+    for (const std::string &bad : malformed) {
+        std::size_t at = 0;
+        EXPECT_FALSE(engine::CachedVerdict::readFields(bad, at)) << bad;
+        EXPECT_EQ(at, 0u);
+    }
+    // Optional lines must be the canonical, non-empty forms the writer
+    // emits; anything else is not a verdict field.
+    for (const char *tail : {"axiom \n", "cycle \n", "cycle 1  2\n",
+                             "cycle 4294967296\n", "cycle 01\n"}) {
+        const std::string bad = "observable 0\n" + counts + tail;
+        std::size_t at = 0;
+        const auto read = engine::CachedVerdict::readFields(bad, at);
+        EXPECT_TRUE(!read || at != bad.size()) << tail;
+    }
+}
+
+/** Encode @p outcome as a worker reply and decode it back. */
+engine::SupervisedOutcome
+roundTrip(const engine::SupervisedOutcome &outcome, std::string &frame)
+{
+    frame = engine::encodeWorkerReply(outcome);
+    engine::SupervisedOutcome back;
+    EXPECT_TRUE(engine::decodeWorkerReply(frame, back)) << frame;
+    EXPECT_EQ(engine::encodeWorkerReply(back), frame);
+    return back;
+}
+
+TEST(WorkerReply, RoundTripsThroughTheSharedCodec)
+{
+    std::string frame;
+
+    // An Allowed verdict: no axiom, no cycle.
+    engine::SupervisedOutcome allowed;
+    allowed.kind = engine::SupervisedOutcome::Kind::Ok;
+    allowed.verdict.observable = true;
+    allowed.verdict.candidates = 5;
+    allowed.verdict.consistent = 2;
+    allowed.verdict.witnesses = 1;
+    engine::SupervisedOutcome back = roundTrip(allowed, frame);
+    EXPECT_EQ(frame, "rex-verdict-ipc-v1\nstatus ok\nobservable 1\n"
+                     "candidates 5\nconsistent 2\nwitnesses 1\ncu 0\n"
+                     "unknown 0\n");
+    EXPECT_EQ(back.kind, engine::SupervisedOutcome::Kind::Ok);
+    EXPECT_EQ(back.verdict, allowed.verdict);
+    EXPECT_TRUE(back.verdict.forbiddingAxiom.empty());
+
+    // A Forbidden verdict with a multi-event cycle.
+    engine::SupervisedOutcome forbidden;
+    forbidden.kind = engine::SupervisedOutcome::Kind::Ok;
+    forbidden.verdict.candidates = 16;
+    forbidden.verdict.forbiddingAxiom = "external";
+    forbidden.verdict.forbiddingCycle = {2, 4, 5, 3, 6, 7};
+    back = roundTrip(forbidden, frame);
+    EXPECT_NE(frame.find("\naxiom external\ncycle 2 4 5 3 6 7\n"),
+              std::string::npos)
+        << frame;
+    EXPECT_EQ(back.verdict, forbidden.verdict);
+    EXPECT_EQ(back.verdict.forbiddingSummary(), "external:2->4->5->3->6->7");
+
+    // An exhausted check carries its axis and stage.
+    engine::SupervisedOutcome exhausted;
+    exhausted.kind = engine::SupervisedOutcome::Kind::Exhausted;
+    exhausted.verdict.candidates = 3;
+    exhausted.exhaustedAxis = "candidates";
+    exhausted.stage = "enumerate";
+    back = roundTrip(exhausted, frame);
+    EXPECT_EQ(back.kind, engine::SupervisedOutcome::Kind::Exhausted);
+    EXPECT_EQ(back.verdict, exhausted.verdict);
+    EXPECT_EQ(back.exhaustedAxis, "candidates");
+    EXPECT_EQ(back.stage, "enumerate");
+
+    // A refused job: the message is flattened to one line, and the
+    // parent reads the reply as a worker-error crash.
+    engine::SupervisedOutcome refused;
+    refused.kind = engine::SupervisedOutcome::Kind::Crashed;
+    refused.error = "line 3: bad\ninstruction\r";
+    back = roundTrip(refused, frame);
+    EXPECT_EQ(back.kind, engine::SupervisedOutcome::Kind::Crashed);
+    EXPECT_EQ(back.signal, "worker-error");
+    EXPECT_EQ(back.error, "line 3: bad instruction ");
+    EXPECT_NE(frame.find("\nerror line 3: bad instruction \n"),
+              std::string::npos);
+
+    engine::SupervisedOutcome untouched;
+    for (const std::string &bad :
+         {std::string(""), std::string("rex-verdict-ipc-v1\n"),
+          std::string("rex-verdict-ipc-v1\nstatus maybe\n"),
+          engine::encodeWorkerReply(allowed) + "stage enumerate\n",
+          engine::encodeWorkerReply(allowed).substr(0, 40),
+          std::string("rex-verdict-ipc-v1\nstatus error\nobservable 0\n"
+                      "candidates 0\nconsistent 0\nwitnesses 0\ncu 0\n"
+                      "unknown 0\nerror \n")}) {
+        EXPECT_FALSE(engine::decodeWorkerReply(bad, untouched)) << bad;
+    }
+    EXPECT_EQ(untouched.kind, engine::SupervisedOutcome::Kind::Crashed);
+    EXPECT_TRUE(untouched.signal.empty());
 }
 
 // ---------------------------------------------------------------------

@@ -20,8 +20,6 @@
 #include <span>
 
 #include "axiomatic/checker.hh"
-#include "axiomatic/enumerate.hh"
-#include "axiomatic/model.hh"
 #include "base/logging.hh"
 #include "base/strings.hh"
 #include "gen/generator.hh"
@@ -40,35 +38,14 @@ using op::ExploreResult;
 using op::Runner;
 using op::RunStats;
 
-/** Outcome key of a candidate execution in the machine's format. */
-std::string
-axiomaticOutcomeKey(const LitmusTest &test, const CandidateExecution &cand)
-{
-    std::map<std::string, std::uint64_t> values;
-    for (const CondAtom &atom : test.finalCond.atoms) {
-        if (atom.kind != CondAtom::Kind::Register)
-            continue;
-        values[std::to_string(atom.tid) + ":" + isa::regName(atom.reg)] =
-            cand.finalRegs[static_cast<std::size_t>(atom.tid)][atom.reg];
-    }
-    for (LocationId loc = 0; loc < test.locations.size(); ++loc)
-        values["*" + test.locations[loc]] = cand.finalMemValue(loc);
-    std::string out;
-    for (const auto &[name, value] : values)
-        out += name + "=" + std::to_string(value) + ";";
-    return out;
-}
-
-/** All axiomatically-allowed outcome keys of a test. */
+/** All axiomatically-allowed outcome keys of a test, in the machine's
+ *  format. */
 std::set<std::string>
 allowedOutcomes(const LitmusTest &test, const ModelParams &params)
 {
     std::set<std::string> keys;
-    CandidateEnumerator enumerator(test);
-    enumerator.forEach([&](CandidateExecution &cand) {
-        if (checkConsistent(cand, params).consistent)
-            keys.insert(axiomaticOutcomeKey(test, cand));
-        return true;
+    forEachConsistent(test, params, [&](const CandidateExecution &cand) {
+        keys.insert(gen::outcomeKey(test, cand));
     });
     return keys;
 }

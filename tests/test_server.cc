@@ -26,6 +26,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/strings.hh"
 #include "engine/batch.hh"
@@ -1720,11 +1721,7 @@ TEST(SupervisedServer, RetryCrashedPolicyRidesTheRespawnToAVerdict)
     // first attempt crashes, the client's retry lands on the respawned
     // worker and gets the real verdict.
     auto draw = [](std::uint64_t x) {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        x ^= x >> 31;
-        return static_cast<double>(x >> 11) * 0x1.0p-53;
+        return static_cast<double>(splitmix64(x) >> 11) * 0x1.0p-53;
     };
     const double p = 0.5;
     std::uint64_t seed = 0;
