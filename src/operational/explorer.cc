@@ -182,7 +182,7 @@ explore(const LitmusTest &test, const CoreProfile &profile,
             }
             return false;
         }
-        frame.machine.enabled(frame.transitions);
+        frame.machine.persistentSet(frame.transitions);
         frame.next = 0;
         return true;
     };

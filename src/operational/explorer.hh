@@ -5,6 +5,12 @@
  * axiomatic model — every operationally reachable outcome must be
  * axiomatically allowed.
  *
+ * Each state expands Machine::persistentSet(): one thread's Issue alone
+ * where that reaches every final state the full set of enabled
+ * transitions reaches, all of them otherwise. The outcome set and
+ * condition reachability are those of the full state graph; the state
+ * count is smaller.
+ *
  * The search is a depth-first walk memoised on the machine's state,
  * split into segments: one per thread, one for memory and its write
  * versions, one for the GIC (Machine::segmentKey()). Each segment's

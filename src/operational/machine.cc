@@ -545,6 +545,20 @@ Machine::enabled(std::vector<Transition> &out) const
 }
 
 void
+Machine::persistentSet(std::vector<Transition> &out) const
+{
+    if (!_layout->gicLive) {
+        for (int t = 0; t < static_cast<int>(_threads.size()); ++t) {
+            if (canIssue(t)) {
+                out.assign(1, {Transition::Kind::Issue, t, -1});
+                return;
+            }
+        }
+    }
+    enabled(out);
+}
+
+void
 Machine::enterHandler(ThreadState &thread, std::uint64_t return_pc)
 {
     thread.sysregs[sysregIndex(Sysreg::ELR_EL1)] = return_pc;
@@ -783,16 +797,14 @@ Machine::issue(int tid)
 
         InFlightOp op;
         op.loc = *loc;
+        isa::RegId owed = isa::kZeroReg;  // the register the op writes
         if (inst.isLoad()) {
             op.kind = InFlightOp::Kind::Load;
             op.destReg = inst.rd;
             op.acquire = inst.op == Opcode::Ldar;
             op.acquirePc = inst.op == Opcode::Ldapr;
             op.exclusive = inst.op == Opcode::Ldxr;
-            if (inst.rd != isa::kZeroReg) {
-                thread.regSource[inst.rd] =
-                    static_cast<int>(thread.ops.size());
-            }
+            owed = inst.rd;
         } else {
             op.kind = InFlightOp::Kind::Store;
             op.storeValue = thread.regs[inst.rd];
@@ -800,10 +812,7 @@ Machine::issue(int tid)
             op.exclusive = inst.op == Opcode::Stxr;
             if (inst.op == Opcode::Stxr) {
                 op.statusReg = inst.rs;
-                if (inst.rs != isa::kZeroReg) {
-                    thread.regSource[inst.rs] =
-                        static_cast<int>(thread.ops.size());
-                }
+                owed = inst.rs;
             }
         }
         thread.ops.push_back(op);
@@ -813,6 +822,15 @@ Machine::issue(int tid)
             thread.regs[inst.rn] += static_cast<std::uint64_t>(inst.imm);
         else if (inst.mode == isa::AddrMode::PreIndex)
             thread.regs[inst.rn] = address;
+
+        // Nothing reads the owed register until the op delivers, so it
+        // holds 0 rather than whatever value it had (the written-back
+        // base included): states that differ only in a dead value are
+        // one state.
+        if (owed != isa::kZeroReg) {
+            thread.regs[owed] = 0;
+            thread.regSource[owed] = static_cast<int>(thread.ops.size()) - 1;
+        }
         advance();
         return;
       }

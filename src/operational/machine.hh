@@ -21,8 +21,10 @@
  * FEAT_ETS2 behaviour, §3.3); SVC/ERET redirect without draining, which
  * is what lets accesses reorder across exception boundaries (§3.2).
  *
- * A scheduler (random or exhaustive; see runner.hh / explorer.hh) picks
- * among enabled transitions.
+ * A scheduler picks among the enabled transitions: the random runner
+ * (runner.hh) among all of them, exhaustive exploration (explorer.hh)
+ * among a persistent set, which is one thread's Issue alone whenever
+ * that suffices (persistentSet()).
  */
 
 #ifndef REX_OPERATIONAL_MACHINE_HH
@@ -85,6 +87,37 @@ class Machine
     /** Replace the contents of @p out with all transitions enabled in
      *  the current state (the caller's vector keeps its capacity). */
     void enabled(std::vector<Transition> &out) const;
+
+    /**
+     * Replace the contents of @p out with the transitions exhaustive
+     * exploration expands in the current state: a persistent set
+     * (Godefroid, "Partial-Order Methods for the Verification of
+     * Concurrent Systems", LNCS 1032, 1996, Def. 4.1). When no thread's
+     * code touches the GIC and some thread can issue, that is the
+     * Issue of the lowest-numbered such thread alone; otherwise it is
+     * every enabled transition.
+     *
+     * {Issue of thread i} is persistent because Issue_i is independent
+     * of every transition that can run before it:
+     *  - Other threads. Issue reads and writes only thread i's segment:
+     *    with no live GIC no issued instruction touches the GIC. No
+     *    other thread's transition reads or writes that segment.
+     *  - Its own thread. Satisfy and Commit of i's in-flight ops never
+     *    disable Issue_i: they only make registers ready, shrink the
+     *    window and complete barriers. Issue_i never disables them: it
+     *    appends the youngest op, and no older op waits on a younger
+     *    one; a faulting access issues only with an empty window. Both
+     *    orders reach the same state, since a register whose producer
+     *    is in flight holds 0 whichever op owes it.
+     *  - Interrupts. With no live GIC nothing is ever pending, so the
+     *    only interrupt is the mandatory "interrupt at" one, and it is
+     *    deliverable exactly where Issue_i is blocked.
+     * No transition outside the set disables Issue_i, so every state
+     * with no enabled transition, and with it every final state, stays
+     * reachable (ibid., Thm. 4.3): the outcome set and condition
+     * reachability are those of the full graph. See docs/OPERATIONAL.md.
+     */
+    void persistentSet(std::vector<Transition> &out) const;
 
     /** Apply one (enabled) transition. */
     void apply(const Transition &transition);
@@ -159,7 +192,8 @@ class Machine
         bool finished = false;
 
         std::array<std::uint64_t, isa::kNumRegs> regs{};
-        /** In-flight op index producing the register, or -1 if ready. */
+        /** In-flight op index producing the register, or -1 if ready.
+         *  A register that is not ready holds 0. */
         std::array<int, isa::kNumRegs> regSource{};
 
         std::array<std::uint64_t, isa::kNumSysregs> sysregs{};

@@ -350,6 +350,30 @@ TEST(MachineTest, ReleaseWaitsForAllEarlierAccesses)
     EXPECT_FALSE(of(machine, Kind::Commit, 0).empty());
 }
 
+TEST(MachineTest, SatisfyAndLaterIssueCommute)
+{
+    // The second load takes X1 over from the first. Whether the first
+    // load delivers before or after that, X1 is pending on the second
+    // and holds 0, so both orders reach one state.
+    LitmusTest test = parseLitmus(
+        "name: t\n"
+        "init: *x=5; *y=0; 0:X2=x; 0:X3=y\n"
+        "thread 0:\n"
+        "    LDR X1,[X2]\n"
+        "    LDR X1,[X3]\n"
+        "allowed: 0:X1=0\n");
+    const Machine::Transition satisfy_first_load{Kind::Satisfy, 0, 0};
+    Machine satisfied_first(test, CoreProfile::maxRelaxed());
+    applyOne(satisfied_first, Kind::Issue, 0);
+    Machine issued_first = satisfied_first;
+
+    satisfied_first.apply(satisfy_first_load);
+    applyOne(satisfied_first, Kind::Issue, 0);
+    applyOne(issued_first, Kind::Issue, 0);
+    issued_first.apply(satisfy_first_load);
+    EXPECT_EQ(keyOf(satisfied_first), keyOf(issued_first));
+}
+
 /**
  * Walk every state reachable from the initial one and check, for every
  * enabled transition, what op::explore relies on to re-key and restore
@@ -359,6 +383,11 @@ TEST(MachineTest, ReleaseWaitsForAllEarlierAccesses)
  *    segments that sibling moved restored from the parent, reaches the
  *    same keys by the transition as a full copy of the parent;
  *  - at a final state, outcomeKey() equals outcome().key().
+ * Where persistentSet() is not every enabled transition, it also
+ * checks the independence it rests on: the set is one enabled Issue,
+ * and for every other enabled transition t, t stays enabled after the
+ * Issue, the Issue stays enabled after t, and both orders reach the
+ * same keys.
  * Stops at the first failure. Returns the number of states walked.
  */
 std::size_t
@@ -372,8 +401,15 @@ checkSegmentInvariants(const LitmusTest &test, const CoreProfile &profile)
     };
     std::vector<Machine> stack{Machine(test, profile)};
     std::unordered_set<std::string> seen{joined(keyOf(stack[0]))};
-    std::vector<Machine::Transition> transitions;
+    std::vector<Machine::Transition> transitions, persistent;
     std::string outcome_key;
+    auto has = [](const std::vector<Machine::Transition> &list,
+                  const Machine::Transition &t) {
+        return std::any_of(list.begin(), list.end(), [&](const auto &u) {
+            return u.kind == t.kind && u.thread == t.thread &&
+                u.opIndex == t.opIndex;
+        });
+    };
     while (!stack.empty()) {
         const Machine state = std::move(stack.back());
         stack.pop_back();
@@ -388,6 +424,37 @@ checkSegmentInvariants(const LitmusTest &test, const CoreProfile &profile)
         }
         const std::vector<std::string> before = keyOf(state);
         state.enabled(transitions);
+        state.persistentSet(persistent);
+        if (persistent.size() != transitions.size()) {
+            const Machine::Transition issue = persistent.front();
+            if (persistent.size() != 1 || issue.kind != Kind::Issue ||
+                    !has(transitions, issue)) {
+                ADD_FAILURE() << test.name << ": persistentSet() is not "
+                              << "one enabled Issue";
+                return seen.size();
+            }
+            for (const Machine::Transition &other : transitions) {
+                if (other.kind == Kind::Issue && other.thread == issue.thread)
+                    continue;
+                Machine issue_first = state, other_first = state;
+                issue_first.apply(issue);
+                other_first.apply(other);
+                const bool still_enabled =
+                    has(enabled(issue_first), other) &&
+                    has(enabled(other_first), issue);
+                if (still_enabled) {
+                    issue_first.apply(other);
+                    other_first.apply(issue);
+                }
+                if (!still_enabled ||
+                        keyOf(issue_first) != keyOf(other_first)) {
+                    ADD_FAILURE() << test.name << ": "
+                                  << issue.toString() << " and "
+                                  << other.toString() << " do not commute";
+                    return seen.size();
+                }
+            }
+        }
         std::optional<Machine> sibling;
         for (const Machine::Transition &transition : transitions) {
             Machine next = state;
