@@ -56,8 +56,9 @@ allowed: 1:X0=1 & 1:X2=0
         }
     }
 
-    // The same oracle runs the shipped cat model (Figure 9) through the
-    // interpreter; verdicts agree with the native implementation.
+    // The checker runs the shipped cat model (Figure 9) compiled; the
+    // cat interpreter evaluates the same file and is the reference the
+    // tests hold the compiled program to.
     const cat::CatModel &catModel = cat::CatModel::shipped();
     std::printf("\nshipped cat model: \"%s\"\n", catModel.name().c_str());
 

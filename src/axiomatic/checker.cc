@@ -9,6 +9,7 @@
 
 #include "axiomatic/enumerate.hh"
 #include "base/logging.hh"
+#include "cat/catmodel.hh"
 #include "catc/cache.hh"
 #include "catc/exec.hh"
 #include "engine/crashctx.hh"
@@ -596,6 +597,7 @@ checkTestNaive(const LitmusTest &test, const ModelParams &params,
                bool stop_at_first, bool capture_witness)
 {
     CheckResult result;
+    const cat::CatModel &model = cat::CatModel::shipped();
     CandidateEnumerator enumerator(test);
     enumerator.forEachNaive([&](CandidateExecution &cand) {
         ++result.candidates;
@@ -606,12 +608,12 @@ checkTestNaive(const LitmusTest &test, const ModelParams &params,
         bool satisfies = condHolds(cand, test.finalCond);
         if (stop_at_first && !satisfies)
             return true;
-        ModelResult model = checkConsistent(cand, params);
-        if (!model.consistent) {
+        const ModelResult verdict = model.check(cand, params);
+        if (!verdict.consistent) {
             if (satisfies && result.forbiddingAxiom.empty()) {
-                result.forbiddingAxiom = model.failedAxiom;
-                if (model.cycle)
-                    result.forbiddingCycle = *model.cycle;
+                result.forbiddingAxiom = verdict.failedAxiom;
+                if (verdict.cycle)
+                    result.forbiddingCycle = *verdict.cycle;
             }
             return true;
         }

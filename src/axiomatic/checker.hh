@@ -8,8 +8,9 @@
  * program's witness-independent part is folded once, the coherence
  * pre-filter skips the model for SC-per-location-violating candidates,
  * and candidates are visited in a reusable buffer. checkTestNaive() is
- * the retained pre-staging reference that the parity tests compare
- * against; both produce identical CheckResults.
+ * the reference that the parity tests compare against: the naive
+ * enumeration evaluated by the cat interpreter. Both produce identical
+ * CheckResults.
  *
  * Every check is one walk over the staged candidates in enumeration
  * order, with two halves chosen by whether a usable thread pool was
@@ -82,7 +83,7 @@ struct CheckResult {
 
     /**
      * Budget axis that stopped the check ("deadline", "candidates",
-     * "memory", "cancelled"); empty when the check ran to its normal
+     * "cancelled"); empty when the check ran to its normal
      * conclusion. When set, every count above is a partial statistic —
      * except under stop_at_first with witnesses > 0, where a found
      * witness settles the verdict and this stays empty.
@@ -225,9 +226,10 @@ bool forEachConsistent(
     const std::function<void(const CandidateExecution &)> &visit,
     engine::Governor *governor = nullptr);
 
-/** The retained pre-staging reference path: fresh candidate copy per
- *  witness assignment, full (unstaged) model check per candidate.
- *  Exists for parity testing only. */
+/** The reference path: fresh candidate copy per witness assignment
+ *  (CandidateEnumerator::forEachNaive), each evaluated by the cat
+ *  interpreter on the shipped model (cat::CatModel::check). Exists for
+ *  parity testing only. */
 CheckResult checkTestNaive(const LitmusTest &test,
                            const ModelParams &params,
                            bool stop_at_first = false,

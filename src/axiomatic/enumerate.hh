@@ -55,8 +55,8 @@ class CandidateEnumerator
     /** Per-candidate staging facts passed to staged visitors. */
     struct StagedInfo {
         /** Index of the trace combination this candidate belongs to;
-         *  consumers key per-combination caches (e.g. the model's
-         *  SkeletonRelations) on it. */
+         *  consumers key per-combination caches (e.g. the compiled
+         *  program's fold) on it. */
         std::uint64_t comboIndex = 0;
 
         /** Result of the per-location coherence pre-filter: false means

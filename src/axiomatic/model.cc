@@ -122,116 +122,66 @@ computeSkeleton(const CandidateExecution &cand, const ModelParams &params)
     // [S]; r and r; [S] are domain/range restrictions: computed as such
     // instead of materializing identity relations and seq-composing,
     // which costs a row scan per pair instead of a word-wise AND.
-    s.speculative = cand.ctrl | cand.addr.seq(cand.po);
+    Relation speculative = cand.ctrl | cand.addr.seq(cand.po);
     if (params.seaR)
-        s.speculative |= cand.po.restrictDomain(k.reads);
+        speculative |= cand.po.restrictDomain(k.reads);
     if (params.seaW)
-        s.speculative |= cand.po.restrictDomain(k.writes);
+        speculative |= cand.po.restrictDomain(k.writes);
 
     // (* context-sync-events *)
-    s.cse = k.isb;
+    EventSet cse = k.isb;
     if (params.entryIsCse())
-        s.cse |= k.takeExceptions;
+        cse |= k.takeExceptions;
     if (params.returnIsCse())
-        s.cse |= k.erets;
+        cse |= k.erets;
     // Asynchronous exception entry is exception entry too: when entry is
     // context-synchronising, TakeInterrupt events are CSEs as well.
     if (params.entryIsCse())
-        s.cse |= k.takeInterrupts;
+        cse |= k.takeInterrupts;
 
     // (* dependency-ordered-before *), minus the rfi tail.
-    s.dobStatic = s.addrData;
-    s.dobStatic |= s.speculative.restrictRange(k.writes);
-    s.dobStatic |= s.speculative.restrictRange(k.isb);
+    s.staticOb = s.addrData;
+    s.staticOb |= speculative.restrictRange(k.writes);
+    s.staticOb |= speculative.restrictRange(k.isb);
 
     // (* atomic-ordered-before *): cand.rmw is already skeleton; keep
     // the endpoint sets of the rfi tail ([range(rmw)]; rfi; [A|Q]).
+    s.staticOb |= cand.rmw;
     s.rmwRange = cand.rmw.range();
     s.acq = k.acquires | k.acquirePcs;
 
     // (* barrier-ordered-before *)
-    s.bob = cand.po.restricted(k.reads, k.dmbLd);
-    s.bob |= cand.po.restricted(k.writes, k.dmbSt);
-    s.bob |= cand.po.restricted(k.dmbSt, k.writes);
-    s.bob |= cand.po.restricted(k.dmbLd, mem);
-    s.bob |= cand.po.restricted(k.releases, k.acquires);
-    s.bob |= cand.po.restricted(s.acq, mem);
-    s.bob |= cand.po.restricted(mem, k.releases);
-    s.bob |= cand.po.restrictDomain(k.dsb);
+    s.staticOb |= cand.po.restricted(k.reads, k.dmbLd);
+    s.staticOb |= cand.po.restricted(k.writes, k.dmbSt);
+    s.staticOb |= cand.po.restricted(k.dmbSt, k.writes);
+    s.staticOb |= cand.po.restricted(k.dmbLd, mem);
+    s.staticOb |= cand.po.restricted(k.releases, k.acquires);
+    s.staticOb |= cand.po.restricted(s.acq, mem);
+    s.staticOb |= cand.po.restricted(mem, k.releases);
+    s.staticOb |= cand.po.restrictDomain(k.dsb);
 
     // (* contextually-ordered-before *)
-    s.ctxob = s.speculative.restrictRange(k.msr | s.cse);
-    s.ctxob |= cand.po.restricted(k.msr, s.cse);
-    s.ctxob |= cand.po.restrictDomain(s.cse);
+    s.staticOb |= speculative.restrictRange(k.msr | cse);
+    s.staticOb |= cand.po.restricted(k.msr, cse);
+    s.staticOb |= cand.po.restrictDomain(cse);
 
     // (* async-ordered-before *)
-    s.asyncob = s.speculative.restrictRange(k.takeInterrupts);
-    s.asyncob |= cand.po.restrictDomain(k.takeInterrupts);
+    s.staticOb |= speculative.restrictRange(k.takeInterrupts);
+    s.staticOb |= cand.po.restrictDomain(k.takeInterrupts);
 
     // FEAT_ETS2: a barrier before translation faults (§3.3).
     if (params.featEts2)
-        s.ets2 = cand.po.restrictRange(k.translationFaults);
-    else
-        s.ets2 = Relation(n);
+        s.staticOb |= cand.po.restrictRange(k.translationFaults);
 
     // §7.5 GIC draft, minus the interrupt witness edge: DSBs order GIC
     // effects (iio-after their register access) with program order.
-    s.gicobStatic = Relation(n);
     s.gic = params.gicExtension;
     if (params.gicExtension) {
-        s.gicobStatic |= cand.iio.inverse().seq(cand.po).restrictRange(k.dsb);
-        s.gicobStatic |= cand.po.restrictDomain(k.dsb).seq(cand.iio);
+        s.staticOb |= cand.iio.inverse().seq(cand.po).restrictRange(k.dsb);
+        s.staticOb |= cand.po.restrictDomain(k.dsb).seq(cand.iio);
     }
 
-    s.staticOb = s.dobStatic | cand.rmw;
-    s.staticOb |= s.bob;
-    s.staticOb |= s.ctxob;
-    s.staticOb |= s.asyncob;
-    s.staticOb |= s.ets2;
-    s.staticOb |= s.gicobStatic;
-
     return s;
-}
-
-ModelRelations
-computeRelations(const CandidateExecution &cand, const ModelParams &params)
-{
-    const SkeletonRelations s = computeSkeleton(cand, params);
-    ModelRelations m;
-
-    m.speculative = s.speculative;
-    m.cse = s.cse;
-
-    // Witness-dependent pieces: obs and the rfi tails.
-    const Relation rfi = cand.rf & s.internalPairs;
-    const Relation rfe = cand.rf - s.internalPairs;
-    const Relation fr = cand.rf.inverse().seq(cand.co);
-
-    // (* observed by *)
-    m.obs = rfe | fr | cand.co;
-
-    // (* dependency-ordered-before *)
-    m.dob = s.dobStatic | s.addrData.seq(rfi);
-
-    // (* atomic-ordered-before *)
-    m.aob = cand.rmw | rfi.restricted(s.rmwRange, s.acq);
-
-    m.bob = s.bob;
-    m.ctxob = s.ctxob;
-    m.asyncob = s.asyncob;
-    m.ets2 = s.ets2;
-
-    // §7.5 GIC draft: the interrupt witness orders generation before
-    // delivery.
-    m.gicob = s.gicobStatic;
-    if (params.gicExtension)
-        m.gicob |= cand.interruptWitness;
-
-    // (* Ordered-before *)
-    m.ob = (m.obs | m.dob | m.aob | m.bob | m.ctxob | m.asyncob | m.ets2 |
-            m.gicob).transitiveClosure();
-
-    return m;
 }
 
 ModelResult
@@ -292,26 +242,6 @@ checkConsistent(const CandidateExecution &cand, const ModelParams &,
     }
 
     return result;
-}
-
-ModelResult
-checkConsistent(const CandidateExecution &cand, const ModelParams &params)
-{
-    // Check the (cheap) internal axiom before paying for the skeleton,
-    // preserving the historical early exit of per-candidate callers.
-    Relation internal = cand.poLoc() | cand.fr();
-    internal |= cand.co;
-    internal |= cand.rf;
-    if (auto cycle = internal.findCycle()) {
-        ModelResult result;
-        result.consistent = false;
-        result.failedAxiom = "internal";
-        result.cycle = std::move(cycle);
-        return result;
-    }
-
-    return checkConsistent(cand, params, computeSkeleton(cand, params),
-                           /*internal_prechecked=*/true);
 }
 
 } // namespace rex

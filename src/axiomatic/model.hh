@@ -1,18 +1,15 @@
 /**
  * @file
- * The Arm-A exceptions axiomatic model (Figure 9), implemented natively.
+ * ModelResult, the per-candidate outcome every Figure 9 evaluator
+ * reports, and the staged native transcription of Figure 9.
  *
- * This is a faithful transcription of the paper's cat model into relation
- * algebra, with two documented additions:
- *  - the FEAT_ETS2 clause (§3.3): `po; [TF]` is ordered-before, giving
- *    translation faults a barrier from program-order-earlier instances;
- *  - the §7.5 GIC draft clauses: the `interrupt` witness edge is in ob,
- *    and DSBs order GIC effect events (which are iio-after their register
- *    accesses) with program-order.
- *
- * The same model ships as `models/aarch64-exceptions.cat` for the cat
- * interpreter; tests assert that both implementations agree on every
- * built-in litmus test.
+ * Figure 9 exists in one authoritative form, models/aarch64-exceptions.cat:
+ * the checker runs it compiled (catc), and the cat interpreter
+ * (cat::CatModel) is the independent reference every test compares the
+ * compiled program with. computeSkeleton() and the staged
+ * checkConsistent() below are kept only for e2ebench's traced hammer
+ * probe, whose `axiomatic.staged` span times them; they go once that
+ * probe moves to the compiled program. Nothing else calls them.
  */
 
 #ifndef REX_AXIOMATIC_MODEL_HH
@@ -46,21 +43,6 @@ struct ModelResult {
     bool aborted = false;
 };
 
-/** All derived relations of the model, exposed for tests/diagnostics. */
-struct ModelRelations {
-    Relation speculative;
-    EventSet cse;
-    Relation obs;
-    Relation dob;
-    Relation aob;
-    Relation bob;
-    Relation ctxob;
-    Relation asyncob;
-    Relation ets2;
-    Relation gicob;
-    Relation ob;
-};
-
 /**
  * The witness-independent slice of the model's relations.
  *
@@ -87,21 +69,6 @@ struct SkeletonRelations {
     /** A | Q — range of aob's rfi tail (`rfi; [A|Q]`). */
     EventSet acq;
 
-    /** (* might-be speculatively executed *) */
-    Relation speculative;
-
-    /** (* context-sync-events *) */
-    EventSet cse;
-
-    // The individual witness-independent clauses, kept for
-    // computeRelations() and diagnostics.
-    Relation dobStatic;   //!< addr | data | spec;[W] | spec;[ISB]
-    Relation bob;
-    Relation ctxob;
-    Relation asyncob;
-    Relation ets2;
-    Relation gicobStatic; //!< the dsb/iio clauses (no interrupt witness)
-
     /** Union of every witness-independent ob clause (incl. rmw). */
     Relation staticOb;
 
@@ -113,19 +80,10 @@ struct SkeletonRelations {
 SkeletonRelations computeSkeleton(const CandidateExecution &candidate,
                                   const ModelParams &params);
 
-/** Compute all derived relations for @p candidate under @p params. */
-ModelRelations computeRelations(const CandidateExecution &candidate,
-                                const ModelParams &params);
-
-/** Check the three axioms of the model. */
-ModelResult checkConsistent(const CandidateExecution &candidate,
-                            const ModelParams &params);
-
 /**
  * Check the axioms reusing the precomputed witness-independent slice:
  * only obs, the rfi tails of dob/aob, and gicob's witness edge are
- * rebuilt before the ob closure. Produces exactly the same ModelResult
- * (axiom and cycle) as the two-argument overload.
+ * rebuilt before the ob closure.
  * @param internal_prechecked skip the internal (SC-per-location) axiom;
  *        the caller has already established it, e.g. via the
  *        enumerator's coherence pre-filter.

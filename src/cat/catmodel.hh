@@ -1,14 +1,15 @@
 /**
  * @file
- * CatModel: a memory model loaded from a .cat file, usable as a drop-in
- * alternative to the native model of src/axiomatic/model.hh.
+ * CatModel: a memory model loaded from a .cat file and evaluated by the
+ * cat interpreter (cat/eval.hh).
  *
  * The repository ships the paper's Figure 9 model as
  * models/aarch64-exceptions.cat (with its cos.cat / arm-common.cat
  * includes), embedded in the library at build time. The catc compiler
  * lowers it into the production checker; this interpreter is the
- * independent reference, and tests cross-validate both against the
- * native implementation over the entire litmus library.
+ * independent reference, and tests hold the compiled program to it
+ * (verdict, failed axiom and cycle) over the litmus library and
+ * rexgen's tests.
  */
 
 #ifndef REX_CAT_CATMODEL_HH
@@ -64,8 +65,9 @@ class CatModel
     const CatFile &file() const { return _file; }
 
     /**
-     * Check one candidate, producing the same ModelResult shape as the
-     * native checkConsistent (failedAxiom = first failed check's name).
+     * Check one candidate: failedAxiom and cycle are the first failed
+     * check's name and counterexample, as the compiled program reports
+     * them.
      */
     ModelResult check(const CandidateExecution &candidate,
                       const ModelParams &params) const;

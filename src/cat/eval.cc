@@ -173,7 +173,7 @@ Evaluator::eval(const Expr &expr)
 
       case Expr::Kind::Closure: {
         Value v = eval(*expr.lhs);
-        return Value::rel(v.asRel(_n).transitiveClosure());
+        return Value::closure(v.asRel(_n));
       }
 
       case Expr::Kind::RtClosure: {
@@ -305,7 +305,11 @@ Evaluator::evaluateStatements(const std::vector<Statement> &statements,
                 Value v = eval(*stmt.checkExpr);
                 const Relation &r = v.asRel(_n);
                 outcome.passed = r.irreflexive();
-                if (!outcome.passed) {
+                if (!outcome.passed && v.closureOperand()) {
+                    // r+ is reflexive exactly when r has a cycle: report
+                    // that cycle, as the compiled program does.
+                    outcome.cycle = v.closureOperand()->findCycle();
+                } else if (!outcome.passed) {
                     // Report some reflexive event as a 1-cycle.
                     for (EventId e = 0; e < _n; ++e) {
                         if (r.contains(e, e)) {

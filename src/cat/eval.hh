@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,6 +42,15 @@ class Value
         return v;
     }
 
+    /** The transitive closure of @p operand, remembering the operand. */
+    static Value
+    closure(Relation operand)
+    {
+        Value v = rel(operand.transitiveClosure());
+        v._closureOf = std::make_shared<const Relation>(std::move(operand));
+        return v;
+    }
+
     static Value
     set(EventSet events)
     {
@@ -58,10 +68,15 @@ class Value
     /** View as a set (zero coerces to the empty set). */
     const EventSet &asSet(std::size_t universe) const;
 
+    /** The operand r of a value built as r+, else null. */
+    const Relation *closureOperand() const { return _closureOf.get(); }
+
   private:
     Kind _kind = Kind::Zero;
     Relation _rel;
     EventSet _set;
+    // Shared, so binding lookups copy a pointer rather than a relation.
+    std::shared_ptr<const Relation> _closureOf;
     // Coercion caches (filled lazily for Zero).
     mutable std::optional<Relation> _zeroRel;
     mutable std::optional<EventSet> _zeroSet;

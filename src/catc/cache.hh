@@ -11,8 +11,8 @@
  * earlier compiles on its first use.
  *
  * The compiled program is the checker's only Figure 9 evaluator;
- * checkTest, range checks, the soundness hammer and the harness cat
- * cross-check all fold planForCheck()'s shared plan.
+ * checkTest, range checks and the soundness hammer all fold
+ * planForCheck()'s shared plan.
  */
 
 #ifndef REX_CATC_CACHE_HH

@@ -32,9 +32,9 @@ namespace rex::catc {
 
 /**
  * Compile the shipped aarch64-exceptions.cat for @p params. The
- * program's checks are named like checkConsistent's axioms
- * ("internal", "external", "atomic") and produce the same verdicts and
- * the same cycles.
+ * program's checks are the model's axioms ("internal", "external",
+ * "atomic") and produce the same verdicts and the same cycles as the
+ * cat interpreter (cat::CatModel::check).
  *
  * @param include_internal emit the internal (SC-per-location) check;
  *        the staged checker omits it because the enumerator's coherence
@@ -57,7 +57,7 @@ struct CatCompileResult {
  * empty checks. `let rec`, `include` (flatten first — CatModel does at
  * load), and `flag` diagnostics are rejected with an explanatory error;
  * callers fall back to the interpreter. A compiled `irreflexive r+`
- * reports a cycle of r where the interpreter reports a 1-cycle.
+ * reports a cycle of r, as the interpreter does.
  */
 CatCompileResult compileCat(const cat::CatFile &file,
                             const std::map<std::string, bool> &flags);

@@ -11,7 +11,7 @@
  *    bytecode, so the program cache shares one plan per compiled
  *    program across every shard, worker, and checkTest call.
  *  - A FoldedProgram binds a plan to one trace combination: it
- *    evaluates every constant op (the SkeletonRelations equivalent gets
+ *    evaluates every constant op (the witness-independent relations get
  *    baked into registers), resolves the constant checks to fixed
  *    outcomes (dead-code elimination: their ops never run again), and
  *    per candidate executes only the witness-dependent tails through

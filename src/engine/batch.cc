@@ -118,7 +118,7 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
 {
     auto start = std::chrono::steady_clock::now();
     VerdictKey key =
-        VerdictKey::make(test, params, _config.modelRevision);
+        VerdictKey::make(test, params, kModelRevision);
 
     record.test = test.name;
     record.variant = params.name();
@@ -248,7 +248,7 @@ Engine::verdictCommon(const LitmusTest &test, const ModelParams &params,
                                        piece.nextOffset, verdict};
                 next.fingerprint = continuationFingerprint(
                     test.sourceText.empty() ? test.name : test.sourceText,
-                    record.variant, _config.modelRevision, next);
+                    record.variant, kModelRevision, next);
                 record.continuation = serializeContinuation(next);
             } else if (resume) {
                 // Trace construction outran this piece's whole budget:

@@ -66,9 +66,6 @@ struct EngineConfig {
     /** JSONL results path; empty = no results file. */
     std::string resultsPath;
 
-    /** Model revision baked into cache keys. */
-    std::string modelRevision = kModelRevision;
-
     /**
      * Supervised worker processes (engine/supervisor.hh): 0 = disabled,
      * every check runs in-thread (the legacy path — byte-identical

@@ -1,7 +1,5 @@
 #include "engine/governor.hh"
 
-#include "base/memtrack.hh"
-
 namespace rex::engine {
 
 const char *
@@ -11,7 +9,6 @@ budgetAxisName(BudgetAxis axis)
       case BudgetAxis::None:       return "none";
       case BudgetAxis::Deadline:   return "deadline";
       case BudgetAxis::Candidates: return "candidates";
-      case BudgetAxis::Memory:     return "memory";
       case BudgetAxis::Cancelled:  return "cancelled";
     }
     return "none";
@@ -20,8 +17,7 @@ budgetAxisName(BudgetAxis axis)
 Governor::Governor(Budget budget, const CancelToken *external,
                    std::atomic<std::uint64_t> *live)
     : _budget(budget), _external(external),
-      _start(std::chrono::steady_clock::now()),
-      _memBaseline(memtrack::currentBytes()), _live(live)
+      _start(std::chrono::steady_clock::now()), _live(live)
 {
     // Arming the deadline inside the token means every polling site in
     // the stack — not just admit() — can trip it, bounding the phases
@@ -53,16 +49,7 @@ Governor::admit()
     }
     // The deadline is folded into the token poll above (an armed token
     // reads the clock in cancelled()), so a candidate rejected on it
-    // is never counted as visited. Memory is polled here, before
-    // counting, for the same reason.
-    if (_budget.maxHeapBytes != 0) {
-        const std::uint64_t now = memtrack::currentBytes();
-        if (now > _memBaseline &&
-                now - _memBaseline > _budget.maxHeapBytes) {
-            _token.trip(BudgetAxis::Memory);
-            return false;
-        }
-    }
+    // is never counted as visited.
     // The candidate ceiling is the one exact axis: a single shared
     // fetch_add admits exactly min(total, maxCandidates) candidates no
     // matter how the shards interleave, so the partial count on a

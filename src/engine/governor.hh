@@ -1,11 +1,11 @@
 /**
  * @file
- * Per-job resource governor: deadlines, candidate ceilings, memory
- * budgets, and cooperative cancellation for candidate checking.
+ * Per-job resource governor: deadlines, candidate ceilings, and
+ * cooperative cancellation for candidate checking.
  *
- * A Budget declares how much a single check may consume along three
- * axes — wall clock, candidate count, approximate heap growth — and a
- * Governor enforces it: the checker calls admit() once per candidate
+ * A Budget declares how much a single check may consume along two
+ * axes — wall clock and candidate count — and a Governor enforces it:
+ * the checker calls admit() once per candidate
  * (the natural unit of work in this codebase; everything expensive
  * happens between two candidates), and the first axis to trip latches
  * into the governor's CancelToken. The token is shared by every shard
@@ -30,9 +30,6 @@
  *  - Deadline: checked against steady_clock on every admit; the trip
  *    is inherently schedule-dependent, but latency from deadline to
  *    stop is bounded by one candidate check per worker.
- *  - Memory: approximate — compares base/memtrack.hh's process-wide
- *    tracked-bytes counter against a baseline captured at governor
- *    construction (see memtrack.hh for what is and isn't counted).
  *  - Cancelled: an external CancelToken (e.g. a server shedding a
  *    request) observed through the same polling points.
  *
@@ -58,7 +55,6 @@ enum class BudgetAxis : std::uint8_t {
     None = 0,
     Deadline,    //!< wall-clock deadline passed
     Candidates,  //!< candidate-count ceiling reached
-    Memory,      //!< approximate heap growth exceeded the cap
     Cancelled,   //!< an external CancelToken tripped
 };
 
@@ -73,14 +69,10 @@ struct Budget {
     /** Candidate-execution ceiling (exact, schedule-independent). */
     std::uint64_t maxCandidates = 0;
 
-    /** Approximate tracked-heap growth cap in bytes. */
-    std::uint64_t maxHeapBytes = 0;
-
     bool
     unlimited() const
     {
-        return deadlineMicros == 0 && maxCandidates == 0 &&
-               maxHeapBytes == 0;
+        return deadlineMicros == 0 && maxCandidates == 0;
     }
 
     /** Convenience: a budget with only a deadline, in milliseconds. */
@@ -236,7 +228,6 @@ class Governor
     const CancelToken *_external;
     CancelToken _token;
     std::chrono::steady_clock::time_point _start;
-    std::uint64_t _memBaseline = 0;
     std::atomic<std::uint64_t> _admitted{0};
     std::atomic<std::uint64_t> *_live;
     std::atomic<const char *> _stage{nullptr};

@@ -46,7 +46,7 @@ void installFlushOnExitSignals();
 
 /** One engine job's outcome. */
 struct JobRecord {
-    /** "verdict", "hwsim", or "cat-crosscheck". */
+    /** "verdict" or "hwsim". */
     std::string kind = "verdict";
 
     /** Litmus test name. */
@@ -55,7 +55,7 @@ struct JobRecord {
     /** Model variant ("base", "SEA_R", ...) or device profile name. */
     std::string variant;
 
-    /** "Allowed"/"Forbidden"; "agree"/"DISAGREE" for cross-checks. */
+    /** "Allowed"/"Forbidden". */
     std::string verdict;
 
     /** Candidate executions enumerated (verdict jobs). */
@@ -84,7 +84,7 @@ struct JobRecord {
 
     /**
      * Budget axis that stopped the job ("deadline", "candidates",
-     * "memory", "cancelled"); empty for completed jobs. Non-empty goes
+     * "cancelled"); empty for completed jobs. Non-empty goes
      * with verdict "ExhaustedBudget", and the count fields above become
      * partial statistics.
      */

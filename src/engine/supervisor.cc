@@ -156,7 +156,6 @@ buildJobPayload(const std::string &sourceText, const std::string &variant,
     payload += format("deadline_us %" PRIu64 "\n", budget.deadlineMicros);
     payload += format("max_candidates %" PRIu64 "\n",
                       budget.maxCandidates);
-    payload += format("max_heap %" PRIu64 "\n", budget.maxHeapBytes);
     payload += format("crash %d\n", crash ? 1 : 0);
     payload += format("hang %d\n", hang ? 1 : 0);
     payload += format("testlen %zu\n", sourceText.size());
@@ -187,7 +186,6 @@ parseJobPayload(std::string_view payload, Job &job)
     std::uint64_t testlen = 0;
     if (!variant || !number("deadline_us", job.budget.deadlineMicros) ||
             !number("max_candidates", job.budget.maxCandidates) ||
-            !number("max_heap", job.budget.maxHeapBytes) ||
             !flag("crash", job.crash) || !flag("hang", job.hang) ||
             !number("testlen", testlen) ||
             payload.size() - pos != testlen) {

@@ -80,7 +80,7 @@ Hammer::fingerprint() const
     fnv.str(_config.params.name());
     fnv.u64(_config.budget.deadlineMicros);
     fnv.u64(_config.budget.maxCandidates);
-    fnv.u64(_config.budget.maxHeapBytes);
+    fnv.u64(0);  // the retired heap budget's slot keeps old fingerprints
     fnv.u64(_config.maxStates);
     return fnv.hash;
 }

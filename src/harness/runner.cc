@@ -1,16 +1,10 @@
 #include "harness/runner.hh"
 
 #include <chrono>
-#include <memory>
-#include <optional>
 
 #include "axiomatic/checker.hh"
-#include "axiomatic/enumerate.hh"
 #include "base/hash.hh"
 #include "base/strings.hh"
-#include "cat/catmodel.hh"
-#include "catc/cache.hh"
-#include "catc/exec.hh"
 #include "harness/table.hh"
 #include "operational/runner.hh"
 
@@ -90,9 +84,8 @@ reproduceFigure(const LitmusTest &test, const FigureOptions &options,
     const std::size_t num_devices = devices.size();
     const std::size_t num_variants = options.variants.size();
     // Job layout: [0] base verdict, [1..D] hw-sim cells,
-    // [D+1..D+V] variant verdicts, [D+V+1] optional cat cross-check.
-    const std::size_t jobs =
-        1 + num_devices + num_variants + (options.catCrossCheck ? 1 : 0);
+    // [D+1..D+V] variant verdicts.
+    const std::size_t jobs = 1 + num_devices + num_variants;
 
     std::vector<std::string> cells =
         engine.map(jobs, [&](std::size_t i) -> std::string {
@@ -119,64 +112,9 @@ reproduceFigure(const LitmusTest &test, const FigureOptions &options,
                 engine.results().append(record);
                 return stats.cell();
             }
-            if (i <= num_devices + num_variants) {
-                const ModelParams &variant =
-                    options.variants[i - num_devices - 1];
-                return verdictName(
-                    engine.verdict(test, variant).observable);
-            }
-            // Cat-vs-compiled cross-check: one job, same single-pass
-            // early-exit order as the legacy serial path, but on the
-            // staged enumeration — per (combo, variant) the compiled
-            // program is folded once and shared by every witness.
-            auto start = std::chrono::steady_clock::now();
-            const cat::CatModel &model = cat::CatModel::shipped();
-            bool agree = true;
-            const std::size_t num_checked = options.variants.size();
-            std::vector<std::shared_ptr<const catc::FoldPlan>> plans;
-            for (const ModelParams &variant : options.variants)
-                plans.push_back(catc::planForCheck(variant));
-            std::vector<std::optional<catc::FoldedProgram>> folds(
-                num_checked);
-            std::vector<std::size_t> fold_combo(num_checked, 0);
-            CandidateEnumerator enumerator(test);
-            enumerator.forEachStaged(
-                [&](CandidateExecution &cand,
-                    const CandidateEnumerator::StagedInfo &info) {
-                for (std::size_t v = 0; v < num_checked; ++v) {
-                    const ModelParams &variant = options.variants[v];
-                    bool compiled_consistent = false;
-                    // The coherence pre-filter is exactly the internal
-                    // (SC-per-location) axiom, which no variant
-                    // relaxes: an incoherent candidate is rejected
-                    // outright.
-                    if (info.coherent) {
-                        if (!folds[v])
-                            folds[v].emplace(*plans[v], cand);
-                        else if (fold_combo[v] != info.comboIndex)
-                            folds[v]->refold(cand);
-                        fold_combo[v] = info.comboIndex;
-                        compiled_consistent =
-                            folds[v]->runFast(cand).consistent;
-                    }
-                    if (compiled_consistent !=
-                            model.check(cand, variant).consistent) {
-                        agree = false;
-                        return false;
-                    }
-                }
-                return true;
-            });
-            engine::JobRecord record;
-            record.kind = "cat-crosscheck";
-            record.test = test.name;
-            record.verdict = agree ? "agree" : "DISAGREE";
-            record.wallMicros = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count());
-            engine.results().append(record);
-            return record.verdict;
+            const ModelParams &variant =
+                options.variants[i - num_devices - 1];
+            return verdictName(engine.verdict(test, variant).observable);
         });
 
     out += format("model (base): %s   [architectural intent: %s]\n",
@@ -204,11 +142,6 @@ reproduceFigure(const LitmusTest &test, const FigureOptions &options,
         params.row({variant.name(), cells[1 + num_devices + v], expected});
     }
     out += params.render();
-
-    if (options.catCrossCheck) {
-        out += format("cat-vs-native cross-check: %s\n",
-                      cells.back().c_str());
-    }
     return out;
 }
 

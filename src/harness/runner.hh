@@ -35,9 +35,6 @@ struct FigureOptions {
     /** Model variants for the param-refs column. */
     std::vector<ModelParams> variants = ModelParams::paperVariants();
 
-    /** Cross-check the shipped cat model against the native model. */
-    bool catCrossCheck = false;
-
     /**
      * The hw-sim RNG seed for one (test, profile) run: the base seed
      * hashed with the test and profile names, so every run is seeded
@@ -51,8 +48,8 @@ struct FigureOptions {
 
 /**
  * Render a paper-figure-style block for @p test: listing, verdict,
- * hw-sim refs, param-refs. The hw-sim profile runs, the per-variant
- * verdicts, and the cat cross-check run as independent jobs on
+ * hw-sim refs, param-refs. The hw-sim profile runs and the per-variant
+ * verdicts run as independent jobs on
  * @p engine; output is assembled in deterministic order, so it is
  * byte-identical for every job count.
  */

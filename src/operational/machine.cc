@@ -433,6 +433,10 @@ Machine::canSatisfy(int tid, int op_index) const
                 return false;
             if (!_profile.loadLoadReorder)
                 return false;
+            // Coherence: an older same-location load reads first, so
+            // no later load can have read a newer write before it.
+            if (op.loc == load.loc)
+                return false;
             break;
           case InFlightOp::Kind::Barrier:
             if (barrierOrdersLoads(op.barrier))
@@ -443,17 +447,6 @@ Machine::canSatisfy(int tid, int op_index) const
             if (op.release && load.acquire)
                 return false;
             break;
-        }
-    }
-
-    // Coherence: a program-order-later same-location load must not have
-    // satisfied already (it could have read an older write).
-    for (std::size_t i = static_cast<std::size_t>(op_index) + 1;
-         i < thread.ops.size(); ++i) {
-        const InFlightOp &op = thread.ops[i];
-        if (op.kind == InFlightOp::Kind::Load && op.done &&
-                op.loc == load.loc) {
-            return false;
         }
     }
 

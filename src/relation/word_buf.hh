@@ -18,8 +18,6 @@
 #include <cstring>
 #include <utility>
 
-#include "base/memtrack.hh"
-
 namespace rex {
 
 /** Fixed-capacity-inline, heap-overflow array of uint64 words. */
@@ -103,17 +101,12 @@ class WordBuf
         releaseHeap();
         _data = new std::uint64_t[count];
         _cap = count;
-        // Heap fallback is the memory-budget accounting hook: inline
-        // (litmus-sized) buffers never reach here, so small tests pay
-        // nothing; large universes are exactly what a budget bounds.
-        memtrack::add(count * sizeof(std::uint64_t));
     }
 
     void
     releaseHeap()
     {
         if (_data != _inline) {
-            memtrack::sub(_cap * sizeof(std::uint64_t));
             delete[] _data;
             _data = _inline;
             _cap = InlineWords;

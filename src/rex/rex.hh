@@ -19,8 +19,9 @@
  *  - events/    candidate executions (events + witness relations)
  *  - sem/       per-thread micro-operational semantics
  *  - litmus/    litmus tests: format, parser, built-in library
- *  - axiomatic/ the Figure 9 model, candidate enumeration, checker
- *  - cat/       the cat-language interpreter and shipped .cat models
+ *  - axiomatic/ candidate enumeration and the checker
+ *  - cat/       the cat-language interpreter and the shipped Figure 9
+ *               model; catc/ compiles that model for the checker
  *  - gic/       the GICv3 SGI model (Figure 10 automaton)
  *  - operational/ the abstract-microarchitecture simulator
  *  - engine/    parallel batch execution, verdict cache, JSONL results

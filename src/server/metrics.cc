@@ -108,8 +108,6 @@ Metrics::countBudgetTrip(const std::string &axis)
         ++budgetTripsDeadline;
     else if (axis == "candidates")
         ++budgetTripsCandidates;
-    else if (axis == "memory")
-        ++budgetTripsMemory;
     else if (axis == "cancelled")
         ++budgetTripsCancelled;
 }
@@ -173,8 +171,6 @@ Metrics::render(engine::Engine &engine) const
              budgetTripsDeadline.load());
     labelled("rexd_budget_trips_total", "axis=\"candidates\"",
              budgetTripsCandidates.load());
-    labelled("rexd_budget_trips_total", "axis=\"memory\"",
-             budgetTripsMemory.load());
     labelled("rexd_budget_trips_total", "axis=\"cancelled\"",
              budgetTripsCancelled.load());
 

@@ -112,7 +112,6 @@ struct Metrics {
     /** Budget trips behind ExhaustedBudget verdicts, by axis. */
     std::atomic<std::uint64_t> budgetTripsDeadline{0};
     std::atomic<std::uint64_t> budgetTripsCandidates{0};
-    std::atomic<std::uint64_t> budgetTripsMemory{0};
     std::atomic<std::uint64_t> budgetTripsCancelled{0};
 
     /** Connections rejected by backpressure (503 at accept). */
@@ -166,7 +165,7 @@ struct Metrics {
     void countResponse(int status);
 
     /** Count one budget trip on @p axis ("deadline", "candidates",
-     *  "memory", "cancelled"). */
+     *  "cancelled"). */
     void countBudgetTrip(const std::string &axis);
 
     /**

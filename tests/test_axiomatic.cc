@@ -3,15 +3,16 @@
  * Unit tests for the axiomatic engine: parameter variants, candidate
  * enumeration (rf/co/interrupt witnesses, value-domain fixpoint), the
  * model's derived relations on known candidates, and checker details
- * (witness and cycle reporting).
+ * (witness and cycle reporting). The model here is the shipped
+ * aarch64-exceptions.cat as the cat interpreter evaluates it.
  */
 
 #include <gtest/gtest.h>
 
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
-#include "axiomatic/model.hh"
 #include "base/logging.hh"
+#include "cat/catmodel.hh"
 #include "litmus/parser.hh"
 #include "litmus/registry.hh"
 
@@ -117,6 +118,36 @@ TEST(Enumeration, InterruptWitnessRequiresMatchingGenerate)
     EXPECT_FALSE(result2.observable);
 }
 
+/** The shipped model evaluated on @p cand under @p params: its let
+ *  bindings are the model's derived relations. */
+struct ModelBindings {
+    ModelBindings(const CandidateExecution &cand, const ModelParams &params)
+        : n(cand.size()), eval(cand, cat::flagsFor(params), {})
+    {
+        eval.evaluateFile(cat::CatModel::shipped().file());
+    }
+
+    const Relation &rel(const char *name) const
+    {
+        return eval.binding(name).asRel(n);
+    }
+
+    const EventSet &set(const char *name) const
+    {
+        return eval.binding(name).asSet(n);
+    }
+
+    std::size_t n;
+    cat::Evaluator eval;
+};
+
+/** The interpreter's verdict on @p cand under @p params. */
+ModelResult
+check(const CandidateExecution &cand, const ModelParams &params)
+{
+    return cat::CatModel::shipped().check(cand, params);
+}
+
 TEST(Model, RelationsOnMpWithBarrier)
 {
     const LitmusTest &test = TestRegistry::instance().get("MP+dmb.sys");
@@ -127,12 +158,11 @@ TEST(Model, RelationsOnMpWithBarrier)
         if (!condHolds(cand, test.finalCond))
             return true;
         found = true;
-        ModelRelations rels =
-            computeRelations(cand, ModelParams::base());
+        const ModelBindings rels(cand, ModelParams::base());
         // bob must order both barrier sides: W x -> DMB -> W y and
         // R y -> DMB -> R x.
-        EXPECT_GT(rels.bob.pairCount(), 0u);
-        EXPECT_FALSE(rels.ob.irreflexive());
+        EXPECT_GT(rels.rel("bob").pairCount(), 0u);
+        EXPECT_FALSE(rels.rel("ob").irreflexive());
         return false;
     });
     EXPECT_TRUE(found);
@@ -143,13 +173,11 @@ TEST(Model, SpeculativeGrowsUnderSeaVariants)
     const LitmusTest &test = TestRegistry::instance().get("LB+pos");
     CandidateEnumerator enumerator(test);
     enumerator.forEach([&](CandidateExecution &cand) {
-        ModelRelations base =
-            computeRelations(cand, ModelParams::base());
-        ModelRelations sea_r =
-            computeRelations(cand, ModelParams::seaReads());
+        const ModelBindings base(cand, ModelParams::base());
+        const ModelBindings sea_r(cand, ModelParams::seaReads());
         // [R]; po adds pairs beyond ctrl | addr; po.
-        EXPECT_GT(sea_r.speculative.pairCount(),
-                  base.speculative.pairCount());
+        EXPECT_GT(sea_r.rel("speculative").pairCount(),
+                  base.rel("speculative").pairCount());
         return false;
     });
 }
@@ -160,13 +188,12 @@ TEST(Model, CseSetRespectsExS)
         TestRegistry::instance().get("SB+dmb.sy+eret");
     CandidateEnumerator enumerator(test);
     enumerator.forEach([&](CandidateExecution &cand) {
-        ModelRelations base =
-            computeRelations(cand, ModelParams::base());
-        ModelRelations exs = computeRelations(cand, ModelParams::exs());
-        EXPECT_EQ(base.cse.count(),
+        const ModelBindings base(cand, ModelParams::base());
+        const ModelBindings exs(cand, ModelParams::exs());
+        EXPECT_EQ(base.set("CSE").count(),
                   cand.takeExceptions().count() + cand.erets().count() +
                       cand.isb().count() + cand.takeInterrupts().count());
-        EXPECT_EQ(exs.cse.count(), cand.isb().count());
+        EXPECT_EQ(exs.set("CSE").count(), cand.isb().count());
         return false;
     });
 }
@@ -221,7 +248,7 @@ TEST(Checker, CycleReportedOnExternalViolation)
     enumerator.forEach([&](CandidateExecution &cand) {
         if (!condHolds(cand, test.finalCond))
             return true;
-        ModelResult model = checkConsistent(cand, ModelParams::base());
+        ModelResult model = check(cand, ModelParams::base());
         if (model.failedAxiom == "external") {
             saw_external = true;
             EXPECT_TRUE(model.cycle.has_value());
@@ -242,7 +269,7 @@ TEST(Checker, InternalAxiomCatchesCoherenceViolations)
     enumerator.forEach([&](CandidateExecution &cand) {
         if (!condHolds(cand, test.finalCond))
             return true;
-        ModelResult model = checkConsistent(cand, ModelParams::base());
+        ModelResult model = check(cand, ModelParams::base());
         EXPECT_FALSE(model.consistent);
         if (model.failedAxiom == "internal")
             saw_internal = true;
@@ -259,7 +286,7 @@ TEST(Checker, AtomicAxiomFiresOnBothSucceeding)
     enumerator.forEach([&](CandidateExecution &cand) {
         if (!condHolds(cand, test.finalCond))
             return true;
-        ModelResult model = checkConsistent(cand, ModelParams::base());
+        ModelResult model = check(cand, ModelParams::base());
         if (model.failedAxiom == "atomic")
             saw_atomic = true;
         return true;
@@ -285,14 +312,11 @@ TEST_P(ModelMonotonicity, SeaStrengthensAndExSWeakens)
     CandidateEnumerator enumerator(test);
     std::size_t checked = 0;
     enumerator.forEach([&](CandidateExecution &cand) {
-        bool base = checkConsistent(cand, ModelParams::base()).consistent;
-        bool sea_r =
-            checkConsistent(cand, ModelParams::seaReads()).consistent;
-        bool sea_w =
-            checkConsistent(cand, ModelParams::seaWrites()).consistent;
-        bool sea_rw =
-            checkConsistent(cand, ModelParams::seaBoth()).consistent;
-        bool exs = checkConsistent(cand, ModelParams::exs()).consistent;
+        bool base = check(cand, ModelParams::base()).consistent;
+        bool sea_r = check(cand, ModelParams::seaReads()).consistent;
+        bool sea_w = check(cand, ModelParams::seaWrites()).consistent;
+        bool sea_rw = check(cand, ModelParams::seaBoth()).consistent;
+        bool exs = check(cand, ModelParams::exs()).consistent;
 
         // SEA_RW ⊆ SEA_R ⊆ base, SEA_RW ⊆ SEA_W ⊆ base, base ⊆ ExS.
         EXPECT_LE(sea_r, base);

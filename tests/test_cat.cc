@@ -2,9 +2,10 @@
  * @file
  * Tests for the cat interpreter: lexer/parser units, evaluator semantics
  * on hand-built candidates, and — most importantly — per-candidate
- * cross-validation of the shipped aarch64-exceptions.cat against the
- * native C++ model over the whole litmus library (the repository's
- * Figure 9 "model == implementation" check).
+ * cross-validation of the compiled aarch64-exceptions.cat (catc)
+ * against this interpreter over the whole litmus library: verdict,
+ * failed axiom and cycle (the repository's Figure 9 "model ==
+ * implementation" check).
  */
 
 #include <algorithm>
@@ -14,13 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
-#include "axiomatic/model.hh"
 #include "base/logging.hh"
 #include "cat/catmodel.hh"
 #include "cat/lexer.hh"
 #include "cat/eval.hh"
 #include "cat/parser.hh"
+#include "catc/compile.hh"
+#include "catc/exec.hh"
 #include "litmus/registry.hh"
 
 namespace rex {
@@ -175,6 +178,32 @@ TEST(CatEval, DetectsCycles)
     ASSERT_TRUE(result.checks[0].cycle.has_value());
 }
 
+TEST(CatEval, IrreflexiveClosureReportsACycleOfItsOperand)
+{
+    // `irreflexive ob` with ob = (...)+ fails exactly when the operand
+    // has a cycle; the interpreter reports that cycle, as the compiled
+    // program does, not one reflexive event of the closure.
+    const LitmusTest &test = TestRegistry::instance().get("MP+dmb.sys");
+    const ModelParams params = ModelParams::base();
+    const catc::Program program = catc::compileNative(params, true);
+    std::size_t externalFailures = 0;
+    CandidateEnumerator enumerator(test);
+    enumerator.forEach([&](CandidateExecution &cand) {
+        const ModelResult interpreted =
+            CatModel::shipped().check(cand, params);
+        if (interpreted.failedAxiom != "external")
+            return true;
+        ++externalFailures;
+        EXPECT_GT(interpreted.cycle.value_or(std::vector<EventId>{}).size(),
+                  1u);
+        const ModelResult compiled =
+            catc::FoldedProgram(program, cand).runAttributed(cand);
+        EXPECT_EQ(interpreted.cycle, compiled.cycle);
+        return true;
+    });
+    EXPECT_GT(externalFailures, 0u);
+}
+
 TEST(CatEval, FlagWarnsButNeverFails)
 {
     CandidateExecution cand = tinyCandidate();
@@ -293,9 +322,9 @@ TEST(CatModelFile, ExceptionsModelConservativeOverBase)
 }
 
 // ---------------------------------------------------------------------
-// Cross-validation: the shipped cat model and the native model must give
-// identical consistency verdicts on every candidate of every test, under
-// every paper variant.
+// Cross-validation: the compiled shipped model and the interpreter must
+// give the same verdict, failed axiom and cycle on every candidate of
+// every test, under every paper variant.
 // ---------------------------------------------------------------------
 
 struct CrossCase {
@@ -315,25 +344,42 @@ crossCases()
     return cases;
 }
 
+std::string
+describe(const ModelResult &result)
+{
+    std::string text = result.consistent ? "consistent"
+                                         : "fails " + result.failedAxiom;
+    if (result.cycle) {
+        text += " cycle";
+        for (EventId e : *result.cycle)
+            text += " " + std::to_string(e);
+    }
+    return text;
+}
+
 class CatCrossValidation : public ::testing::TestWithParam<CrossCase> {};
 
-TEST_P(CatCrossValidation, AgreesWithNativeModelPerCandidate)
+TEST_P(CatCrossValidation, CompiledAgreesWithInterpreterPerCandidate)
 {
     const CrossCase &c = GetParam();
     ModelParams params = ModelParams::byName(c.variant);
     const CatModel &model = CatModel::shipped();
+    const catc::Program program = catc::compileNative(params, true);
 
     CandidateEnumerator enumerator(*c.test);
     std::size_t checked = 0;
     std::size_t disagreements = 0;
     enumerator.forEach([&](CandidateExecution &cand) {
-        ModelResult native = checkConsistent(cand, params);
-        ModelResult interpreted = model.check(cand, params);
-        if (native.consistent != interpreted.consistent) {
+        const ModelResult compiled =
+            catc::FoldedProgram(program, cand).runAttributed(cand);
+        const ModelResult interpreted = model.check(cand, params);
+        if (compiled.consistent != interpreted.consistent ||
+                compiled.failedAxiom != interpreted.failedAxiom ||
+                compiled.cycle != interpreted.cycle) {
             ++disagreements;
             ADD_FAILURE() << c.test->name << " under " << c.variant
-                          << ": native=" << native.consistent
-                          << " cat=" << interpreted.consistent << "\n"
+                          << ": compiled " << describe(compiled)
+                          << ", cat " << describe(interpreted) << "\n"
                           << cand.dump();
         }
         ++checked;

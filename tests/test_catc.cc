@@ -7,8 +7,8 @@
  *
  * The load-bearing properties (compiled == naive on every built-in
  * and generated test is test_staged_parity's job):
- *  - per candidate, the folded program's attributed run reproduces
- *    checkConsistent exactly, and its fast run agrees on the verdict;
+ *  - per candidate, the folded program's attributed run reproduces the
+ *    cat interpreter exactly, and its fast run agrees on the verdict;
  *  - the sharded compiled check matches the serial one;
  *  - malformed bytecode is rejected by verify(), never executed;
  *  - programs are cached per model (every parameter) and model
@@ -23,7 +23,6 @@
 
 #include "axiomatic/checker.hh"
 #include "axiomatic/enumerate.hh"
-#include "axiomatic/model.hh"
 #include "base/logging.hh"
 #include "cat/catmodel.hh"
 #include "cat/parser.hh"
@@ -38,6 +37,8 @@
 namespace rex {
 namespace {
 
+/** Every CheckResult field, the witness's rf, co and interrupt
+ *  witness included. */
 void
 expectSameResult(const CheckResult &a, const CheckResult &b,
                  const std::string &context)
@@ -46,8 +47,19 @@ expectSameResult(const CheckResult &a, const CheckResult &b,
     EXPECT_EQ(a.candidates, b.candidates) << context;
     EXPECT_EQ(a.consistent, b.consistent) << context;
     EXPECT_EQ(a.witnesses, b.witnesses) << context;
+    EXPECT_EQ(a.constrainedUnpredictable, b.constrainedUnpredictable)
+        << context;
+    EXPECT_EQ(a.unknownSideEffects, b.unknownSideEffects) << context;
     EXPECT_EQ(a.forbiddingAxiom, b.forbiddingAxiom) << context;
     EXPECT_EQ(a.forbiddingCycle, b.forbiddingCycle) << context;
+    EXPECT_EQ(a.exhaustedAxis, b.exhaustedAxis) << context;
+    EXPECT_EQ(a.witness.has_value(), b.witness.has_value()) << context;
+    if (a.witness && b.witness) {
+        EXPECT_EQ(a.witness->rf, b.witness->rf) << context;
+        EXPECT_EQ(a.witness->co, b.witness->co) << context;
+        EXPECT_EQ(a.witness->interruptWitness, b.witness->interruptWitness)
+            << context;
+    }
 }
 
 TEST(CatcParity, ShardedCompiledMatchesSerial)
@@ -71,12 +83,13 @@ TEST(CatcParity, ShardedCompiledMatchesSerial)
     }
 }
 
-TEST(CatcExec, AttributedRunReproducesCheckConsistentPerCandidate)
+TEST(CatcExec, AttributedRunReproducesTheInterpreterPerCandidate)
 {
     // Per-candidate ground truth: the compiled shipped model (with the
-    // internal check, since no pre-filter runs here) must reproduce
-    // checkConsistent exactly — verdict, axiom name, and cycle — on
+    // internal check, since no pre-filter runs here) must reproduce the
+    // cat interpreter exactly — verdict, axiom name, and cycle — on
     // every builtin.
+    const cat::CatModel &model = cat::CatModel::shipped();
     for (const ModelParams &params : ModelParams::paperVariants()) {
         const catc::Program program = catc::compileNative(params, true);
         for (const LitmusTest *test : TestRegistry::instance().all()) {
@@ -84,7 +97,7 @@ TEST(CatcExec, AttributedRunReproducesCheckConsistentPerCandidate)
             CandidateEnumerator enumerator(*test);
             enumerator.forEach([&](CandidateExecution &cand) {
                 catc::FoldedProgram folded(program, cand);
-                ModelResult expected = checkConsistent(cand, params);
+                ModelResult expected = model.check(cand, params);
                 ModelResult attributed = folded.runAttributed(cand);
                 EXPECT_EQ(attributed.consistent, expected.consistent);
                 EXPECT_EQ(attributed.failedAxiom, expected.failedAxiom);
@@ -203,7 +216,7 @@ TEST(CatcVerifier, RejectsMalformedPrograms)
     kindClash.ops.push_back({OpCode::Closure, 0, 0, 0});
     EXPECT_NE(catc::verify(kindClash), "");
 
-    // The native program passes and fills kinds.
+    // The shipped program passes and fills kinds.
     catc::Program good = catc::compileNative(ModelParams::base(), true);
     EXPECT_EQ(good.kinds.size(), good.ops.size());
 }
@@ -336,10 +349,10 @@ expectEveryOpRead(const catc::Program &program, const std::string &context)
 TEST(CatcCompiler, IrreflexiveClosureCompilesToAcyclic)
 {
     // `irreflexive ob` with ob = (...)+ checks `acyclic` of the union:
-    // no closure is built per candidate, and the counterexample is
-    // checkConsistent's cycle of the union, not the interpreter's
-    // reflexive 1-cycle.
+    // no closure is built per candidate, and the counterexample is the
+    // interpreter's cycle of the union, not a reflexive 1-cycle.
     const ModelParams params = ModelParams::base();
+    const cat::CatModel &model = cat::CatModel::shipped();
     const catc::Program program = catc::compileNative(params, true);
     for (const catc::Op &op : program.ops)
         EXPECT_NE(op.code, catc::OpCode::Closure);
@@ -352,7 +365,7 @@ TEST(CatcCompiler, IrreflexiveClosureCompilesToAcyclic)
         const LitmusTest &test = TestRegistry::instance().get(name);
         CandidateEnumerator enumerator(test);
         enumerator.forEach([&](CandidateExecution &cand) {
-            const ModelResult expected = checkConsistent(cand, params);
+            const ModelResult expected = model.check(cand, params);
             if (expected.failedAxiom != "external")
                 return true;
             ++externalFailures;

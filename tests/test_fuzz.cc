@@ -3,8 +3,8 @@
  * Differential fuzzing over the src/gen synthesizer: generate litmus
  * tests (threads of loads, stores, barriers, dependency chains,
  * acquire/release pairs, exclusive RMWs, LDP/STP pairs, and
- * SVC/interrupt handler splices), then check that the shipped cat model
- * agrees with the native transcription on every candidate, and that
+ * SVC/interrupt handler splices), then check that the compiled shipped
+ * model agrees with the cat interpreter on every candidate, and that
  * every outcome the operational simulator can reach is allowed by the
  * axiomatic model. The corpus is the same one the soundness hammer
  * (src/gen/hammer.hh) drives at campaign scale; here a small slice runs
@@ -23,8 +23,9 @@
 #include <string>
 
 #include "axiomatic/enumerate.hh"
-#include "axiomatic/model.hh"
 #include "cat/catmodel.hh"
+#include "catc/compile.hh"
+#include "catc/exec.hh"
 #include "engine/batch.hh"
 #include "gen/generator.hh"
 #include "gen/hammer.hh"
@@ -45,20 +46,28 @@ std::string
 catAgreementJob(std::uint64_t seed)
 {
     LitmusTest test = generateTest(seed);
+    const ModelParams params = ModelParams::base();
     const cat::CatModel &model = cat::CatModel::shipped();
+    const catc::Program program = catc::compileNative(params, true);
     CandidateEnumerator enumerator(test);
     std::size_t checked = 0;
     std::string failure;
     enumerator.forEach([&](CandidateExecution &cand) {
-        bool native =
-            checkConsistent(cand, ModelParams::base()).consistent;
-        bool interpreted =
-            model.check(cand, ModelParams::base()).consistent;
-        if (native != interpreted) {
-            failure = test.name + ": native " +
-                (native ? "consistent" : "inconsistent") +
+        const ModelResult compiled =
+            catc::FoldedProgram(program, cand).runAttributed(cand);
+        const ModelResult interpreted = model.check(cand, params);
+        if (compiled.consistent != interpreted.consistent ||
+                compiled.failedAxiom != interpreted.failedAxiom ||
+                compiled.cycle != interpreted.cycle) {
+            failure = test.name + ": compiled " +
+                (compiled.consistent ? "consistent"
+                                     : "fails " + compiled.failedAxiom) +
                 " but cat " +
-                (interpreted ? "consistent" : "inconsistent");
+                (interpreted.consistent ? "consistent"
+                                        : "fails " + interpreted.failedAxiom);
+            if (compiled.consistent == interpreted.consistent &&
+                    compiled.failedAxiom == interpreted.failedAxiom)
+                failure += " (cycles differ)";
             return false;
         }
         return ++checked < 400;
@@ -91,10 +100,10 @@ soundnessJob(std::uint64_t seed, std::size_t &skipped)
     return "";
 }
 
-/** Differential fuzzing of the cat interpreter: the shipped Figure 9
- *  model must agree with the native transcription on random programs,
- *  not just the curated library. */
-TEST(FuzzCatAgreement, CatAgreesWithNativeOnRandomPrograms)
+/** Differential fuzzing of the compiled model: the compiled shipped
+ *  Figure 9 model must agree with the cat interpreter (verdict, failed
+ *  axiom and cycle) on random programs, not just the curated library. */
+TEST(FuzzCatAgreement, CompiledAgreesWithCatOnRandomPrograms)
 {
     // Force the shipped model's lazy load before fanning out.
     cat::CatModel::shipped();

@@ -2,7 +2,7 @@
  * @file
  * Tests for the resource governor and the fault-injection harness: the
  * budget axes (candidate ceilings exact and schedule-independent,
- * deadlines, memory caps, external cancellation), the ExhaustedBudget
+ * deadlines, external cancellation), the ExhaustedBudget
  * path through the engine (partial statistics, never cached, budget
  * fields only on exhausted records), crash-safe cache entries
  * (checksummed, torn/corrupt entries evicted as misses), degraded-mode
@@ -25,7 +25,6 @@
 #include <unistd.h>
 
 #include "axiomatic/checker.hh"
-#include "base/memtrack.hh"
 #include "engine/batch.hh"
 #include "engine/cache.hh"
 #include "engine/crashctx.hh"
@@ -176,20 +175,6 @@ TEST(Governor, DeadlineTripsAndReportsPartialProgress)
     EXPECT_EQ(res.exhaustedAxis, "deadline");
     EXPECT_GE(governor.elapsedMicros(), 20000u);
     EXPECT_GT(governor.candidatesVisited(), 0u);
-}
-
-TEST(Governor, MemoryAxisComparesAgainstConstructionBaseline)
-{
-    engine::Budget budget;
-    budget.maxHeapBytes = 1024;
-    engine::Governor governor(budget);
-    EXPECT_TRUE(governor.admit());
-    memtrack::add(1 << 20);
-    EXPECT_FALSE(governor.admit());
-    EXPECT_EQ(governor.trippedAxis(), engine::BudgetAxis::Memory);
-    memtrack::sub(1 << 20);
-    // Latched: releasing the memory does not un-trip the budget.
-    EXPECT_FALSE(governor.admit());
 }
 
 TEST(Governor, ExternalCancelStopsWithinFiftyMs)
@@ -945,19 +930,6 @@ TEST(CacheMultiProcess, ConcurrentWritersProduceNoTornEntries)
         }
     }
     EXPECT_EQ(leftovers, 0);
-}
-
-// ---------------------------------------------------------------------
-// Memory tracking
-// ---------------------------------------------------------------------
-
-TEST(MemTrack, AddAndSubBalance)
-{
-    const std::uint64_t before = memtrack::currentBytes();
-    memtrack::add(4096);
-    EXPECT_EQ(memtrack::currentBytes(), before + 4096);
-    memtrack::sub(4096);
-    EXPECT_EQ(memtrack::currentBytes(), before);
 }
 
 } // namespace

@@ -382,7 +382,8 @@ TEST(MachineTest, SatisfyAndLaterIssueCommute)
  *  - a machine holding the previous sibling successor, with the
  *    segments that sibling moved restored from the parent, reaches the
  *    same keys by the transition as a full copy of the parent;
- *  - at a final state, outcomeKey() equals outcome().key().
+ *  - at a final state, outcomeKey() equals outcome().key();
+ *  - every non-final state has an enabled transition (none is stuck).
  * Where persistentSet() is not every enabled transition, it also
  * checks the independence it rests on: the set is one enabled Issue,
  * and for every other enabled transition t, t stays enabled after the
@@ -424,6 +425,11 @@ checkSegmentInvariants(const LitmusTest &test, const CoreProfile &profile)
         }
         const std::vector<std::string> before = keyOf(state);
         state.enabled(transitions);
+        if (transitions.empty()) {
+            ADD_FAILURE() << test.name << ": stuck, a non-final state "
+                          << "with no enabled transition";
+            return seen.size();
+        }
         state.persistentSet(persistent);
         if (persistent.size() != transitions.size()) {
             const Machine::Transition issue = persistent.front();

@@ -9,7 +9,9 @@
  * model variant — same counts, same verdict, same forbidding
  * explanation — and the sharded parallel path must be byte-identical to
  * the serial one. The staged checker evaluates the compiled Figure 9
- * program (catc); the naive path runs the native clauses.
+ * program (catc); the naive path evaluates the same shipped model with
+ * the cat interpreter, so this is also compiled == interpreted on every
+ * field of the result, cycles and witnesses included.
  */
 
 #include <cstdint>
