@@ -42,20 +42,21 @@ listAllOutcomes(const rex::LitmusTest &test,
                 const rex::ModelParams &params)
 {
     using namespace rex;
+    // The condition's registers in condition order, then every
+    // location in declaration order.
+    std::vector<CondAtom> places;
+    for (const CondAtom &atom : test.finalCond.atoms) {
+        if (atom.kind == CondAtom::Kind::Register)
+            places.push_back(atom);
+    }
+    for (LocationId loc = 0; loc < test.locations.size(); ++loc)
+        places.push_back({.kind = CondAtom::Kind::Memory, .loc = loc});
     std::map<std::string, std::size_t> outcomes;
     forEachConsistent(test, params, [&](const CandidateExecution &cand) {
         std::string key;
-        for (const CondAtom &atom : test.finalCond.atoms) {
-            if (atom.kind != CondAtom::Kind::Register)
-                continue;
-            key += std::to_string(atom.tid) + ":" +
-                isa::regName(atom.reg) + "=" +
-                std::to_string(cand.finalRegs[
-                    static_cast<std::size_t>(atom.tid)][atom.reg]) + " ";
-        }
-        for (LocationId loc = 0; loc < test.locations.size(); ++loc) {
-            key += "*" + test.locations[loc] + "=" +
-                std::to_string(cand.finalMemValue(loc)) + " ";
+        for (const CondAtom &place : places) {
+            key += atomName(test, place) + "=" +
+                std::to_string(finalValue(place, cand)) + " ";
         }
         ++outcomes[key];
     });

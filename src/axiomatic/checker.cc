@@ -18,28 +18,6 @@
 
 namespace rex {
 
-bool
-condHolds(const CandidateExecution &cand, const Condition &cond)
-{
-    for (const CondAtom &atom : cond.atoms) {
-        switch (atom.kind) {
-          case CondAtom::Kind::Register: {
-            std::size_t tid = static_cast<std::size_t>(atom.tid);
-            if (tid >= cand.finalRegs.size())
-                return false;
-            if (cand.finalRegs[tid][atom.reg] != atom.value)
-                return false;
-            break;
-          }
-          case CondAtom::Kind::Memory:
-            if (cand.finalMemValue(atom.loc) != atom.value)
-                return false;
-            break;
-        }
-    }
-    return true;
-}
-
 void
 mergePiece(CheckResult &earlier, CheckResult &&later)
 {

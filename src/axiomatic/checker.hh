@@ -95,7 +95,11 @@ struct CheckResult {
 };
 
 /** Does the final condition hold in this candidate? */
-bool condHolds(const CandidateExecution &candidate, const Condition &cond);
+inline bool
+condHolds(const CandidateExecution &candidate, const Condition &cond)
+{
+    return conditionHolds(cond, candidate);
+}
 
 /**
  * The one verdict merge: fold @p later, the piece of the same walk that

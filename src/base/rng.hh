@@ -1,7 +1,8 @@
 /**
  * @file
  * Small deterministic RNG (xorshift64*), shared by the litmus
- * synthesizer (src/gen) and the fuzz corpus.
+ * synthesizer (src/gen), the operational runner's random scheduler
+ * (the hw-refs observation counts) and the fuzz corpus.
  *
  * Determinism is load-bearing everywhere this is used: a seed fully
  * determines the stream, so a generated test is reproducible from its

@@ -185,15 +185,6 @@ class Engine
                             bool resumable = false,
                             const ContinuationState *resume = nullptr);
 
-    /** verdictRecord() with @p resumable set. */
-    JobRecord
-    verdictRecordResumable(const LitmusTest &test,
-                           const ModelParams &params, const Budget &budget,
-                           const ContinuationState *resume = nullptr)
-    {
-        return verdictRecord(test, params, budget, true, resume);
-    }
-
     /** Tasks queued (not yet running) in the pool; 0 when serial. */
     std::size_t
     poolQueueDepth() const

@@ -111,15 +111,8 @@ canonicalTestText(const LitmusTest &test)
                       thread.handler);
     }
     out += "final";
-    for (const CondAtom &atom : test.finalCond.atoms) {
-        if (atom.kind == CondAtom::Kind::Register) {
-            out += format(" %d:%s=%" PRIu64, atom.tid,
-                          isa::regName(atom.reg).c_str(), atom.value);
-        } else {
-            out += format(" *%s=%" PRIu64,
-                          test.locations[atom.loc].c_str(), atom.value);
-        }
-    }
+    for (const CondAtom &atom : test.finalCond.atoms)
+        out += " " + atomName(test, atom) + "=" + std::to_string(atom.value);
     out += "\n";
     return out;
 }

@@ -151,6 +151,13 @@ class CandidateExecution
     Relation coi() const;
     Relation coe() const;
 
+    /** The final value of register @p reg of thread @p tid. */
+    std::uint64_t
+    finalReg(ThreadId tid, isa::RegId reg) const
+    {
+        return finalRegs[static_cast<std::size_t>(tid)][reg];
+    }
+
     /**
      * The final (co-maximal) write value at @p loc; the initial value
      * when no write exists.

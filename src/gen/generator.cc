@@ -237,8 +237,8 @@ generate(std::uint64_t seed, const GenConfig &config)
     // Condition: project a few load destinations (plus occasionally a
     // memory cell). The hammer compares whole-outcome projections, so
     // the condition's truth value is irrelevant there — but it decides
-    // which registers the operational Outcome key carries, so loads
-    // referenced here get cross-checked between the two semantics.
+    // which registers the outcome key (litmus FinalState) carries, so
+    // loads referenced here get cross-checked between the two semantics.
     for (unsigned t = 0; t < num_threads; ++t) {
         for (int slot : thread_loads[t].slots) {
             if (spec.condition.size() >= 4)

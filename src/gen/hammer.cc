@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -17,30 +16,11 @@
 #include "base/logging.hh"
 #include "engine/batch.hh"
 #include "engine/cache.hh"
-#include "isa/register.hh"
 #include "litmus/parser.hh"
 #include "operational/explorer.hh"
 #include "operational/profile.hh"
 
 namespace rex::gen {
-
-std::string
-outcomeKey(const LitmusTest &test, const CandidateExecution &cand)
-{
-    std::map<std::string, std::uint64_t> values;
-    for (const CondAtom &atom : test.finalCond.atoms) {
-        if (atom.kind != CondAtom::Kind::Register)
-            continue;
-        values[std::to_string(atom.tid) + ":" + isa::regName(atom.reg)] =
-            cand.finalRegs[static_cast<std::size_t>(atom.tid)][atom.reg];
-    }
-    for (LocationId loc = 0; loc < test.locations.size(); ++loc)
-        values["*" + test.locations[loc]] = cand.finalMemValue(loc);
-    std::string out;
-    for (const auto &[name, value] : values)
-        out += name + "=" + std::to_string(value) + ";";
-    return out;
-}
 
 Hammer::Hammer(HammerConfig config) : _config(std::move(config))
 {
@@ -109,16 +89,19 @@ soundnessCheck(const GeneratedTest &generated, const HammerConfig &config)
     SeedResult result;
     result.features = generated.features;
 
-    // Axiomatic side: every consistent candidate's outcome key, from
-    // the compiled model (the same program checkTest and rexd run). The
-    // governor bounds pathological seeds; a trip means Skipped, not a
-    // verdict.
+    // Axiomatic side: every consistent candidate's outcome key, in the
+    // FinalState bytes op::explore reports too, from the compiled model
+    // (the same program checkTest and rexd run). The governor bounds
+    // pathological seeds; a trip means Skipped, not a verdict.
     engine::Governor governor(config.budget);
+    const FinalState final_state(test);
     std::set<std::string> allowed;
+    std::string key;
     if (!forEachConsistent(
             test, config.params,
             [&](const CandidateExecution &cand) {
-                allowed.insert(outcomeKey(test, cand));
+                final_state.key(cand, key);
+                allowed.insert(key);
             },
             &governor)) {
         result.outcome = SeedOutcome::Skipped;
@@ -134,9 +117,9 @@ soundnessCheck(const GeneratedTest &generated, const HammerConfig &config)
         return result;
     }
 
-    for (const std::string &key : explored.outcomes) {
-        if (!allowed.count(key))
-            result.violating.push_back(key);
+    for (const std::string &reached : explored.outcomes) {
+        if (!allowed.count(reached))
+            result.violating.push_back(reached);
     }
     result.outcome = result.violating.empty() ? SeedOutcome::Sound
                                               : SeedOutcome::Violation;

@@ -32,7 +32,6 @@
 
 #include "axiomatic/params.hh"
 #include "engine/governor.hh"
-#include "events/candidate.hh"
 #include "gen/cycle.hh"
 #include "gen/generator.hh"
 #include "litmus/litmus.hh"
@@ -175,15 +174,6 @@ class Hammer
  */
 SeedResult soundnessCheck(const GeneratedTest &test,
                           const HammerConfig &config);
-
-/**
- * The operational machine's Outcome::key() projection of a candidate:
- * the condition's registers plus every memory location, sorted by name.
- * Keeping the two sides' keys in lockstep is what makes the subset
- * comparison meaningful.
- */
-std::string outcomeKey(const LitmusTest &test,
-                       const CandidateExecution &cand);
 
 /** Load a checkpoint; false when @p path does not exist. fatal() on a
  *  malformed file or a fingerprint mismatch. Exposed for tests. */

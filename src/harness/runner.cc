@@ -26,14 +26,7 @@ condString(const LitmusTest &test)
         const CondAtom &atom = test.finalCond.atoms[i];
         if (i)
             out += " & ";
-        if (atom.kind == CondAtom::Kind::Register) {
-            out += format("%d:%s=%llu", atom.tid,
-                          isa::regName(atom.reg).c_str(),
-                          static_cast<unsigned long long>(atom.value));
-        } else {
-            out += format("*%s=%llu", test.locations[atom.loc].c_str(),
-                          static_cast<unsigned long long>(atom.value));
-        }
+        out += atomName(test, atom) + "=" + std::to_string(atom.value);
     }
     return out;
 }

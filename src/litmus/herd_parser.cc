@@ -10,33 +10,6 @@ namespace rex {
 
 namespace {
 
-/** Find-or-create a location id by name (shared with the native
- *  parser's convention: first seen = lowest id). */
-LocationId
-internLocation(LitmusTest &test, const std::string &name)
-{
-    for (LocationId i = 0; i < test.locations.size(); ++i) {
-        if (test.locations[i] == name)
-            return i;
-    }
-    if (test.locations.size() >= kMaxLocations)
-        fatal(format("too many locations (max %zu): %s", kMaxLocations,
-                     name.c_str()));
-    test.locations.push_back(name);
-    test.initValues.push_back(0);
-    return static_cast<LocationId>(test.locations.size() - 1);
-}
-
-void
-ensureThread(LitmusTest &test, std::size_t tid)
-{
-    if (tid >= kMaxThreads)
-        fatal(format("thread id %zu out of range (max %zu threads)", tid,
-                     kMaxThreads));
-    if (test.threads.size() <= tid)
-        test.threads.resize(tid + 1);
-}
-
 /** Strip an optional C-style type annotation ("uint64_t x" -> "x"). */
 std::string
 stripType(const std::string &lhs)
@@ -60,7 +33,7 @@ parseInitEntry(LitmusTest &test, const std::string &entry)
         std::int64_t tid;
         if (!parseInteger(lhs.substr(0, colon), tid) || tid < 0)
             fatal("bad thread id in herd init entry: " + entry);
-        ensureThread(test, static_cast<std::size_t>(tid));
+        test.ensureThread(static_cast<std::size_t>(tid));
         LitmusThread &thread = test.threads[static_cast<std::size_t>(tid)];
         std::string target = toUpper(trim(lhs.substr(colon + 1)));
         if (target == "PSTATE.EL" || target == "EL") {
@@ -78,7 +51,7 @@ parseInitEntry(LitmusTest &test, const std::string &entry)
             thread.initRegs[*reg] = static_cast<std::uint64_t>(value);
         } else {
             thread.initRegs[*reg] =
-                locationAddress(internLocation(test, rhs));
+                locationAddress(test.internLocation(rhs));
         }
         return;
     }
@@ -90,7 +63,7 @@ parseInitEntry(LitmusTest &test, const std::string &entry)
     std::int64_t value;
     if (!parseInteger(rhs, value))
         fatal("bad memory value in herd init entry: " + entry);
-    LocationId loc = internLocation(test, name);
+    LocationId loc = test.internLocation(name);
     test.initValues[loc] = static_cast<std::uint64_t>(value);
 }
 
@@ -111,7 +84,8 @@ parseCondAtom(LitmusTest &test, const std::string &text)
     auto colon = lhs.find(':');
     if (colon != std::string::npos) {
         std::int64_t tid;
-        if (!parseInteger(lhs.substr(0, colon), tid) || tid < 0)
+        if (!parseInteger(lhs.substr(0, colon), tid) || tid < 0 ||
+                static_cast<std::uint64_t>(tid) >= kMaxThreads)
             fatal("bad thread id in herd condition atom: " + text);
         auto reg = isa::parseReg(trim(lhs.substr(colon + 1)));
         if (!reg)
@@ -128,7 +102,7 @@ parseCondAtom(LitmusTest &test, const std::string &text)
     if (!name.empty() && name[0] == '*')
         name = trim(name.substr(1));
     atom.kind = CondAtom::Kind::Memory;
-    atom.loc = internLocation(test, name);
+    atom.loc = test.internLocation(name);
     return atom;
 }
 
@@ -293,7 +267,7 @@ parseHerdLitmus(const std::string &text)
         fatal("herd litmus test without a name");
     if (!have_cond)
         fatal("herd litmus test without a condition: " + test.name);
-    ensureThread(test, bodies.empty() ? 0 : bodies.size() - 1);
+    test.ensureThread(bodies.empty() ? 0 : bodies.size() - 1);
     for (std::size_t t = 0; t < bodies.size(); ++t) {
         test.threads[t].program = isa::assemble(bodies[t]);
         if (test.threads[t].program.code.size() >
@@ -306,6 +280,7 @@ parseHerdLitmus(const std::string &text)
     }
     if (test.threads.empty())
         fatal("herd litmus test without threads: " + test.name);
+    checkParsed(test);
     return test;
 }
 

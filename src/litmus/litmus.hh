@@ -14,7 +14,9 @@
 #define REX_LITMUS_LITMUS_HH
 
 #include <array>
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -155,8 +157,106 @@ struct LitmusTest {
     /** Find a location id by name; fatal() when absent. */
     LocationId locationId(const std::string &name) const;
 
+    /** Find-or-create a location id by name: the first named gets the
+     *  lowest id. fatal() beyond kMaxLocations. Both parsers build
+     *  their location table with this. */
+    LocationId internLocation(const std::string &name);
+
+    /** Grow threads to hold thread @p tid; fatal() when @p tid is not
+     *  below kMaxThreads. */
+    void ensureThread(std::size_t tid);
+
     /** True when any thread's code writes ICC_SGI1R_EL1. */
     bool generatesSgis() const;
+};
+
+/**
+ * The checks every parsed test passes, whichever format it came from:
+ * each condition atom names a thread the test has. fatal() otherwise,
+ * so a condition no execution can be judged against is refused rather
+ * than answered.
+ */
+void checkParsed(const LitmusTest &test);
+
+/**
+ * The name of the final-state value @p atom constrains: "T:Xn" for a
+ * register of thread T, "*x" for memory location x. Conditions,
+ * outcome keys and outcome listings all spell a value this way.
+ */
+std::string atomName(const LitmusTest &test, const CondAtom &atom);
+
+/**
+ * The final value @p source holds where @p place points (its value is
+ * not read). A source is any object with
+ *   std::uint64_t finalReg(ThreadId tid, isa::RegId reg) const;
+ *   std::uint64_t finalMemValue(LocationId loc) const;
+ * a CandidateExecution on the axiomatic side, the op::Machine on the
+ * operational one.
+ */
+template <typename Source>
+std::uint64_t
+finalValue(const CondAtom &place, const Source &source)
+{
+    if (place.kind == CondAtom::Kind::Register)
+        return source.finalReg(place.tid, place.reg);
+    return source.finalMemValue(place.loc);
+}
+
+/** Does the final state of @p source satisfy @p cond? */
+template <typename Source>
+bool
+conditionHolds(const Condition &cond, const Source &source)
+{
+    for (const CondAtom &atom : cond.atoms) {
+        if (finalValue(atom, source) != atom.value)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * The outcome of a test: the final-state projection both semantics
+ * report, so that the model can run as a test oracle on an
+ * implementation's outcomes (§5.1). Its fields are the registers the
+ * condition names plus every memory location, sorted by name, each
+ * once; its key spells the values as "name=value;" per field. The
+ * operational explorer and the axiomatic enumeration both build their
+ * outcome sets from these bytes, which is what makes the soundness
+ * hammer's subset comparison meaningful.
+ */
+class FinalState
+{
+  public:
+    explicit FinalState(const LitmusTest &test);
+
+    /** One named value of the outcome. */
+    struct Field {
+        std::string name;
+        /** Where the value lives; the atom's value is unused. */
+        CondAtom place;
+    };
+
+    const std::vector<Field> &fields() const { return _fields; }
+
+    /** Write the outcome key of @p source into @p out (cleared first). */
+    template <typename Source>
+    void
+    key(const Source &source, std::string &out) const
+    {
+        out.clear();
+        for (const Field &field : _fields) {
+            char digits[std::numeric_limits<std::uint64_t>::digits10 + 1];
+            char *end = std::to_chars(digits, digits + sizeof(digits),
+                                      finalValue(field.place, source)).ptr;
+            out += field.name;
+            out += '=';
+            out.append(digits, end);
+            out += ';';
+        }
+    }
+
+  private:
+    std::vector<Field> _fields;
 };
 
 } // namespace rex

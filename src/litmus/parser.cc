@@ -12,32 +12,6 @@ namespace rex {
 
 namespace {
 
-/** Find-or-create a location id by name. */
-LocationId
-internLocation(LitmusTest &test, const std::string &name)
-{
-    for (LocationId i = 0; i < test.locations.size(); ++i) {
-        if (test.locations[i] == name)
-            return i;
-    }
-    if (test.locations.size() >= kMaxLocations)
-        fatal(format("too many locations (max %zu): %s", kMaxLocations,
-                     name.c_str()));
-    test.locations.push_back(name);
-    test.initValues.push_back(0);
-    return static_cast<LocationId>(test.locations.size() - 1);
-}
-
-void
-ensureThread(LitmusTest &test, std::size_t tid)
-{
-    if (tid >= kMaxThreads)
-        fatal(format("thread id %zu out of range (max %zu threads)", tid,
-                     kMaxThreads));
-    if (test.threads.size() <= tid)
-        test.threads.resize(tid + 1);
-}
-
 bool
 looksLikeLocationName(const std::string &text)
 {
@@ -65,7 +39,7 @@ parseInitEntry(LitmusTest &test, const std::string &entry)
         std::int64_t value;
         if (!parseInteger(rhs, value))
             fatal("bad memory init value: " + entry);
-        LocationId loc = internLocation(test, name);
+        LocationId loc = test.internLocation(name);
         test.initValues[loc] = static_cast<std::uint64_t>(value);
         return;
     }
@@ -77,7 +51,7 @@ parseInitEntry(LitmusTest &test, const std::string &entry)
     if (!parseInteger(lhs.substr(0, colon), tid_value) || tid_value < 0)
         fatal("bad thread id in init entry: " + entry);
     std::size_t tid = static_cast<std::size_t>(tid_value);
-    ensureThread(test, tid);
+    test.ensureThread(tid);
     LitmusThread &thread = test.threads[tid];
     std::string target = toUpper(trim(lhs.substr(colon + 1)));
 
@@ -109,7 +83,7 @@ parseInitEntry(LitmusTest &test, const std::string &entry)
     if (is_int) {
         thread.initRegs[*reg] = static_cast<std::uint64_t>(value);
     } else if (looksLikeLocationName(rhs)) {
-        LocationId loc = internLocation(test, rhs);
+        LocationId loc = test.internLocation(rhs);
         thread.initRegs[*reg] = locationAddress(loc);
     } else {
         fatal("bad init value: " + entry);
@@ -133,14 +107,17 @@ parseCondAtom(LitmusTest &test, const std::string &text)
     atom.value = static_cast<std::uint64_t>(value);
     if (startsWith(lhs, "*")) {
         atom.kind = CondAtom::Kind::Memory;
-        atom.loc = internLocation(test, trim(lhs.substr(1)));
+        atom.loc = test.internLocation(trim(lhs.substr(1)));
         return atom;
     }
     auto colon = lhs.find(':');
     if (colon == std::string::npos)
         fatal("bad condition atom: " + text);
+    // Bounded before the narrowing to ThreadId, which would wrap
+    // 4294967296 to thread 0.
     std::int64_t tid;
-    if (!parseInteger(lhs.substr(0, colon), tid) || tid < 0)
+    if (!parseInteger(lhs.substr(0, colon), tid) || tid < 0 ||
+            static_cast<std::uint64_t>(tid) >= kMaxThreads)
         fatal("bad thread id in condition atom: " + text);
     auto reg = isa::parseReg(trim(lhs.substr(colon + 1)));
     if (!reg)
@@ -197,7 +174,7 @@ parseLitmus(const std::string &text)
     auto flushSection = [&]() {
         if (section == Section::None)
             return;
-        ensureThread(test, section_tid);
+        test.ensureThread(section_tid);
         isa::Program program = isa::assemble(body);
         if (program.code.size() > kMaxProgramInstructions) {
             fatal(format("program of thread %zu too large: %zu "
@@ -274,7 +251,7 @@ parseLitmus(const std::string &text)
             std::int64_t tid;
             if (!parseInteger(words[1], tid) || tid < 0)
                 fatal("bad thread id in interrupt directive: " + stripped);
-            ensureThread(test, static_cast<std::size_t>(tid));
+            test.ensureThread(static_cast<std::size_t>(tid));
             LitmusThread &thread = test.threads[
                 static_cast<std::size_t>(tid)];
             thread.interruptAt = words[3];
@@ -327,6 +304,7 @@ parseLitmus(const std::string &text)
         fatal("litmus test without a final condition: " + test.name);
     if (test.threads.empty())
         fatal("litmus test without threads: " + test.name);
+    checkParsed(test);
 
     // Mark SGI receivers: threads with a handler, no explicit interrupt
     // point, and some SGI generated somewhere in the test.

@@ -177,7 +177,7 @@ explore(const LitmusTest &test, const CoreProfile &profile,
         if (frame.machine.done()) {
             frame.machine.outcomeKey(key);
             if (result.outcomes.insert(key).second &&
-                    frame.machine.outcome().satisfiesCondition(test)) {
+                    frame.machine.conditionHolds()) {
                 result.conditionReachable = true;
             }
             return false;

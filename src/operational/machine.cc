@@ -1,10 +1,7 @@
 #include "operational/machine.hh"
 
-#include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstring>
-#include <limits>
 
 #include "base/logging.hh"
 #include "base/strings.hh"
@@ -70,37 +67,6 @@ constexpr std::size_t kOpKeyBytes = 2 * sizeof(std::uint64_t);
 
 } // namespace
 
-std::string
-Outcome::key() const
-{
-    std::string out;
-    for (const auto &[name, value] : values) {
-        out += name;
-        out += '=';
-        out += std::to_string(value);
-        out += ';';
-    }
-    return out;
-}
-
-bool
-Outcome::satisfiesCondition(const LitmusTest &test) const
-{
-    for (const CondAtom &atom : test.finalCond.atoms) {
-        std::string name;
-        if (atom.kind == CondAtom::Kind::Register) {
-            name = std::to_string(atom.tid) + ":" +
-                isa::regName(atom.reg);
-        } else {
-            name = "*" + test.locations[atom.loc];
-        }
-        auto it = values.find(name);
-        if (it == values.end() || it->second != atom.value)
-            return false;
-    }
-    return true;
-}
-
 gic::CpuInterface
 Machine::cpuInterface(int tid) const
 {
@@ -141,7 +107,7 @@ Machine::Machine(const LitmusTest &test, const CoreProfile &profile)
 std::shared_ptr<const Machine::Layout>
 Machine::layOut(const LitmusTest &test)
 {
-    auto layout = std::make_shared<Layout>();
+    auto layout = std::make_shared<Layout>(test);
     layout->keyMasks.assign(test.threads.size(), Layout::KeyMask{});
     layout->labels.resize(test.threads.size());
     for (std::size_t t = 0; t < test.threads.size(); ++t) {
@@ -213,27 +179,6 @@ Machine::layOut(const LitmusTest &test)
         }
     }
 
-    // The outcome's values, in the order of Outcome::values (a std::map
-    // keyed by name); a register named twice in the condition is one.
-    std::vector<Layout::OutcomeField> &fields = layout->outcomeFields;
-    for (const CondAtom &atom : test.finalCond.atoms) {
-        if (atom.kind == CondAtom::Kind::Register) {
-            fields.push_back({std::to_string(atom.tid) + ":" +
-                                  isa::regName(atom.reg),
-                              static_cast<int>(atom.tid), atom.reg, 0});
-        }
-    }
-    for (LocationId loc = 0; loc < test.locations.size(); ++loc)
-        fields.push_back({"*" + test.locations[loc], -1, isa::kZeroReg, loc});
-    std::sort(fields.begin(), fields.end(),
-              [](const auto &lhs, const auto &rhs) {
-                  return lhs.name < rhs.name;
-              });
-    fields.erase(std::unique(fields.begin(), fields.end(),
-                             [](const auto &lhs, const auto &rhs) {
-                                 return lhs.name == rhs.name;
-                             }),
-                 fields.end());
     return layout;
 }
 
@@ -984,37 +929,16 @@ Machine::done() const
     return true;
 }
 
-std::uint64_t
-Machine::outcomeValue(const Layout::OutcomeField &field) const
+bool
+Machine::conditionHolds() const
 {
-    if (field.tid < 0)
-        return _memory[field.loc];
-    return _threads[static_cast<std::size_t>(field.tid)].regs[field.reg];
-}
-
-Outcome
-Machine::outcome() const
-{
-    Outcome out;
-    for (const Layout::OutcomeField &field : _layout->outcomeFields)
-        out.values.emplace_hint(out.values.end(), field.name,
-                                outcomeValue(field));
-    return out;
+    return rex::conditionHolds(_test->finalCond, *this);
 }
 
 void
 Machine::outcomeKey(std::string &out) const
 {
-    out.clear();
-    for (const Layout::OutcomeField &field : _layout->outcomeFields) {
-        char digits[std::numeric_limits<std::uint64_t>::digits10 + 1];
-        char *end = std::to_chars(digits, digits + sizeof(digits),
-                                  outcomeValue(field)).ptr;
-        out += field.name;
-        out += '=';
-        out.append(digits, end);
-        out += ';';
-    }
+    _layout->finalState.key(*this, out);
 }
 
 void

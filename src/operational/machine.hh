@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,20 +43,6 @@
 #include "operational/profile.hh"
 
 namespace rex::op {
-
-/**
- * The final-state projection of one run: the condition-relevant
- * registers and all memory locations.
- */
-struct Outcome {
-    std::map<std::string, std::uint64_t> values;
-
-    /** Canonical string form, usable as a histogram key. */
-    std::string key() const;
-
-    /** Does this outcome satisfy the test's final condition? */
-    bool satisfiesCondition(const LitmusTest &test) const;
-};
 
 /** The operational machine for one litmus test run. */
 class Machine
@@ -125,8 +110,21 @@ class Machine
     /** True when every thread has finished and drained. */
     bool done() const;
 
-    /** The final-state projection (valid when done()). */
-    Outcome outcome() const;
+    /** Does the final state satisfy the test's condition (valid when
+     *  done())? */
+    bool conditionHolds() const;
+
+    /** Write the outcome key (FinalState::key()) of the final state
+     *  into @p out (valid when done()). */
+    void outcomeKey(std::string &out) const;
+
+    /** The final-state source FinalState reads (valid when done()). */
+    std::uint64_t
+    finalReg(ThreadId tid, isa::RegId reg) const
+    {
+        return _threads[static_cast<std::size_t>(tid)].regs[reg];
+    }
+    std::uint64_t finalMemValue(LocationId loc) const { return _memory[loc]; }
 
     /**
      * The state is split into segments for exhaustive exploration: one
@@ -161,10 +159,6 @@ class Machine
     /** Copy the segments in @p mask from @p from, a machine for the
      *  same test and profile. */
     void copySegments(const Machine &from, SegmentMask mask);
-
-    /** Write outcome().key() into @p out (cleared first) without
-     *  building the Outcome (valid when done()). */
-    void outcomeKey(std::string &out) const;
 
   private:
     /** One in-flight memory operation. */
@@ -261,26 +255,16 @@ class Machine
             std::optional<std::size_t> interruptPc;
         };
 
-        /** One named value of the outcome: register @c reg of thread
-         *  @c tid, or memory location @c loc when @c tid is negative. */
-        struct OutcomeField {
-            std::string name;
-            int tid = -1;
-            isa::RegId reg = isa::kZeroReg;
-            LocationId loc = 0;
-        };
+        explicit Layout(const LitmusTest &test) : finalState(test) {}
 
         std::vector<KeyMask> keyMasks;
         std::vector<Labels> labels;
-        /** Sorted by name, without duplicates, as in Outcome::values. */
-        std::vector<OutcomeField> outcomeFields;
+        FinalState finalState;
         /** Does some thread's code read or write GIC state? */
         bool gicLive = false;
     };
 
     static std::shared_ptr<const Layout> layOut(const LitmusTest &test);
-
-    std::uint64_t outcomeValue(const Layout::OutcomeField &field) const;
 
     /** A pointer, not a reference, so that machines copy-assign. */
     const LitmusTest *_test;

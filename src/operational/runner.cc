@@ -14,18 +14,8 @@ RunStats::cell() const
 }
 
 Runner::Runner(const CoreProfile &profile, std::uint64_t seed)
-    : _profile(profile), _state(seed ? seed : 0x9E3779B97F4A7C15ull)
+    : _profile(profile), _rng(seed ? seed : 0x9E3779B97F4A7C15ull)
 {
-}
-
-std::uint64_t
-Runner::nextRandom()
-{
-    // xorshift64*: fast, deterministic, good enough for scheduling.
-    _state ^= _state >> 12;
-    _state ^= _state << 25;
-    _state ^= _state >> 27;
-    return _state * 0x2545F4914F6CDD1Dull;
 }
 
 RunStats
@@ -34,6 +24,7 @@ Runner::run(const LitmusTest &test, std::uint64_t runs)
     RunStats stats;
     Machine machine(test, _profile);
     std::vector<Machine::Transition> transitions;
+    std::string key;
     for (std::uint64_t r = 0; r < runs; ++r) {
         machine.reset();
         std::uint64_t steps = 0;
@@ -42,17 +33,16 @@ Runner::run(const LitmusTest &test, std::uint64_t runs)
             if (transitions.empty()) {
                 fatal("operational machine stuck in test " + test.name);
             }
-            const auto &pick = transitions[
-                nextRandom() % transitions.size()];
+            const auto &pick = transitions[_rng.pick(transitions.size())];
             machine.apply(pick);
             if (++steps > 100000)
                 fatal("operational machine diverged in test " + test.name);
         }
-        Outcome outcome = machine.outcome();
+        machine.outcomeKey(key);
         ++stats.runs;
-        if (outcome.satisfiesCondition(test))
+        if (machine.conditionHolds())
             ++stats.observed;
-        ++stats.histogram[outcome.key()];
+        ++stats.histogram[key];
     }
     return stats;
 }

@@ -12,6 +12,7 @@
 #include <map>
 #include <string>
 
+#include "base/rng.hh"
 #include "litmus/litmus.hh"
 #include "operational/machine.hh"
 #include "operational/profile.hh"
@@ -47,9 +48,7 @@ class Runner
 
   private:
     CoreProfile _profile;
-    std::uint64_t _state;
-
-    std::uint64_t nextRandom();
+    Rng _rng;
 };
 
 } // namespace rex::op

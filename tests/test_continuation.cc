@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for rex-cont-v1 enumeration continuations (engine/continuation,
- * engine/batch verdictRecordResumable, the /check resume protocol):
+ * engine/batch verdictRecord with resumable set, the /check resume protocol):
  * token round-trip and strict-parse rejection, the fingerprint covering
  * both job identity and payload, resumed-in-pieces runs byte-identical
  * to uninterrupted ones across every builtin x paper variant at
@@ -108,7 +108,7 @@ runChain(engine::Engine &engine, const LitmusTest &test,
          std::vector<engine::JobRecord> *pieces = nullptr)
 {
     engine::JobRecord record =
-        engine.verdictRecordResumable(test, params, firstBudget);
+        engine.verdictRecord(test, params, firstBudget, /*resumable=*/true);
     for (int hop = 0; hop < 10000; ++hop) {
         if (pieces)
             pieces->push_back(record);
@@ -129,8 +129,8 @@ runChain(engine::Engine &engine, const LitmusTest &test,
                       source, params.name(), engine::kModelRevision,
                       state))
             << test.name << ": token failed its own fingerprint";
-        record = engine.verdictRecordResumable(test, params,
-                                               laterBudget, &state);
+        record = engine.verdictRecord(test, params, laterBudget,
+                                      /*resumable=*/true, &state);
     }
     ADD_FAILURE() << test.name << "/" << params.name()
                   << ": chain did not converge";
@@ -276,8 +276,8 @@ TEST(Resume, EveryBuiltinEveryPaperVariantSplitsLosslessly)
     for (const std::string &name : registry.names()) {
         const LitmusTest &test = registry.get(name);
         for (const ModelParams &params : variants) {
-            engine::JobRecord whole = engine.verdictRecordResumable(
-                test, params, engine::Budget{});
+            engine::JobRecord whole = engine.verdictRecord(
+                test, params, engine::Budget{}, /*resumable=*/true);
             ASSERT_NE(whole.verdict, "ExhaustedBudget")
                 << name << ": unbudgeted run tripped a budget";
             if (whole.candidates < 2)
@@ -360,7 +360,7 @@ TEST(Resume, ChainsConvergeIdenticallyAcrossJobs1AndJobs4)
             // every hop and the chain still converges to the same
             // record.
             engine::JobRecord mixed =
-                serial.verdictRecordResumable(test, params, tiny);
+                serial.verdictRecord(test, params, tiny, /*resumable=*/true);
             for (int hop = 0; mixed.verdict == "ExhaustedBudget";
                  ++hop) {
                 ASSERT_LT(hop, 10000);
@@ -369,8 +369,8 @@ TEST(Resume, ChainsConvergeIdenticallyAcrossJobs1AndJobs4)
                     mixed.continuation, state));
                 engine::Engine &next =
                     (hop % 2 == 0) ? parallel : serial;
-                mixed = next.verdictRecordResumable(test, params, tiny,
-                                                    &state);
+                mixed = next.verdictRecord(test, params, tiny,
+                                           /*resumable=*/true, &state);
             }
             EXPECT_EQ(stableJson(mixed), stableJson(a))
                 << name << "/" << variant
@@ -395,7 +395,7 @@ TEST(Resume, SerialPieceTripsReportTheEnumerateStage)
     EXPECT_EQ(whole.stage, "enumerate");
 
     engine::JobRecord piece =
-        serial.verdictRecordResumable(test, params, tiny);
+        serial.verdictRecord(test, params, tiny, /*resumable=*/true);
     ASSERT_EQ(piece.verdict, "ExhaustedBudget");
     ASSERT_FALSE(piece.continuation.empty());
     EXPECT_NE(piece.toJson().find("\"stage\":\"enumerate\""),
@@ -404,7 +404,8 @@ TEST(Resume, SerialPieceTripsReportTheEnumerateStage)
 
     engine::ContinuationState state;
     ASSERT_TRUE(engine::parseContinuation(piece.continuation, state));
-    piece = serial.verdictRecordResumable(test, params, tiny, &state);
+    piece = serial.verdictRecord(test, params, tiny, /*resumable=*/true,
+                                 &state);
     ASSERT_EQ(piece.verdict, "ExhaustedBudget");
     EXPECT_EQ(piece.stage, "enumerate") << "resumed piece";
 }
@@ -417,13 +418,14 @@ TEST(Resume, PooledPiecesUnderACeilingAlwaysAdvanceTheCursor)
     const LitmusTest &test = TestRegistry::instance().get("IRIW+addrs");
     const ModelParams params = ModelParams::byName("base");
     const engine::JobRecord whole =
-        parallel.verdictRecordResumable(test, params, engine::Budget{});
+        parallel.verdictRecord(test, params, engine::Budget{},
+                               /*resumable=*/true);
 
     for (std::uint64_t ceiling : {1u, 2u, 7u}) {
         engine::Budget budget;
         budget.maxCandidates = ceiling;
         engine::JobRecord record =
-            parallel.verdictRecordResumable(test, params, budget);
+            parallel.verdictRecord(test, params, budget, /*resumable=*/true);
         std::uint64_t lastShard = 0;
         std::uint64_t lastOffset = 0;
         std::uint64_t planSize = 0;
@@ -443,8 +445,8 @@ TEST(Resume, PooledPiecesUnderACeilingAlwaysAdvanceTheCursor)
             lastShard = state.nextShard;
             lastOffset = state.nextOffset;
             ++hops;
-            record = parallel.verdictRecordResumable(test, params,
-                                                     budget, &state);
+            record = parallel.verdictRecord(test, params, budget,
+                                            /*resumable=*/true, &state);
         }
         EXPECT_GT(hops, 0u) << "ceiling " << ceiling << " never tripped";
         EXPECT_EQ(stableJson(record), stableJson(whole))

@@ -27,6 +27,7 @@
 #include "catc/compile.hh"
 #include "catc/exec.hh"
 #include "engine/batch.hh"
+#include "gen/cycle.hh"
 #include "gen/generator.hh"
 #include "gen/hammer.hh"
 #include "litmus/parser.hh"
@@ -41,17 +42,26 @@ generateTest(std::uint64_t seed)
     return parseLitmus(gen::generate(seed, gen::GenConfig{}).source);
 }
 
-/** One cat-agreement job: "" on success, else a failure description. */
-std::string
-catAgreementJob(std::uint64_t seed)
+/** What one cat-agreement job found. */
+struct Agreement {
+    /** "" when the two agree on every candidate compared. */
+    std::string failure;
+    /** Candidates both reject with `external`, whose cycles were
+     *  compared. */
+    std::size_t externalCycles = 0;
+};
+
+/** Compare the compiled model with the cat interpreter under @p params
+ *  on the first 400 candidates of @p test. */
+Agreement
+catAgreementJob(const LitmusTest &test, const ModelParams &params)
 {
-    LitmusTest test = generateTest(seed);
-    const ModelParams params = ModelParams::base();
     const cat::CatModel &model = cat::CatModel::shipped();
     const catc::Program program = catc::compileNative(params, true);
     CandidateEnumerator enumerator(test);
     std::size_t checked = 0;
-    std::string failure;
+    Agreement out;
+    std::string &failure = out.failure;
     enumerator.forEach([&](CandidateExecution &cand) {
         const ModelResult compiled =
             catc::FoldedProgram(program, cand).runAttributed(cand);
@@ -59,7 +69,8 @@ catAgreementJob(std::uint64_t seed)
         if (compiled.consistent != interpreted.consistent ||
                 compiled.failedAxiom != interpreted.failedAxiom ||
                 compiled.cycle != interpreted.cycle) {
-            failure = test.name + ": compiled " +
+            failure = test.name + " under " + params.name() +
+                ": compiled " +
                 (compiled.consistent ? "consistent"
                                      : "fails " + compiled.failedAxiom) +
                 " but cat " +
@@ -70,11 +81,13 @@ catAgreementJob(std::uint64_t seed)
                 failure += " (cycles differ)";
             return false;
         }
+        if (compiled.failedAxiom == "external")
+            ++out.externalCycles;
         return ++checked < 400;
     });
     if (failure.empty() && checked == 0)
-        return test.name + ": no candidates enumerated";
-    return failure;
+        failure = test.name + ": no candidates enumerated";
+    return out;
 }
 
 /** One soundness job: "" on success/skip, else a failure description.
@@ -102,18 +115,34 @@ soundnessJob(std::uint64_t seed, std::size_t &skipped)
 
 /** Differential fuzzing of the compiled model: the compiled shipped
  *  Figure 9 model must agree with the cat interpreter (verdict, failed
- *  axiom and cycle) on random programs, not just the curated library. */
+ *  axiom and cycle) on random programs and the cycle inventory, not
+ *  just the curated library, under base and under SEA_R. The random
+ *  seeds alone under base reach no `external` failure, so the cycle
+ *  comparison needs the inventory and SEA_R's stronger ordering. */
 TEST(FuzzCatAgreement, CompiledAgreesWithCatOnRandomPrograms)
 {
     // Force the shipped model's lazy load before fanning out.
     cat::CatModel::shipped();
+    std::vector<LitmusTest> corpus;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed)
+        corpus.push_back(generateTest(seed));
+    for (const gen::Cycle &cycle : gen::enumerateCycles(gen::CycleConfig{}))
+        corpus.push_back(parseLitmus(gen::synthesizeCycle(cycle).source));
+    const ModelParams variants[] = {ModelParams::base(),
+                                    ModelParams::byName("SEA_R")};
     engine::Engine engine{engine::EngineConfig{}};
-    std::vector<std::string> failures =
-        engine.map(60, [](std::size_t i) {
-            return catAgreementJob(i + 1);
+    std::vector<Agreement> agreements =
+        engine.map(2 * corpus.size(), [&](std::size_t i) {
+            return catAgreementJob(corpus[i % corpus.size()],
+                                   variants[i / corpus.size()]);
         });
-    for (const std::string &failure : failures)
-        EXPECT_EQ(failure, "");
+    std::size_t external_cycles = 0;
+    for (const Agreement &agreement : agreements) {
+        EXPECT_EQ(agreement.failure, "");
+        external_cycles += agreement.externalCycles;
+    }
+    // The corpus must compare cycles, or the cycle check is vacuous.
+    EXPECT_GT(external_cycles, 0u);
 }
 
 TEST(FuzzSoundness, OperationalWithinAxiomatic)

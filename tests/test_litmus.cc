@@ -189,6 +189,75 @@ TEST(Parser, UnknownLocationInConditionIsCreated)
     EXPECT_EQ(test.initValues[0], 0u);
 }
 
+TEST(Parser, ConditionOnAMissingThreadIsRefused)
+{
+    // A condition atom must name a thread of the test: without the
+    // check, the model reads the atom as false and the machine reads
+    // past its threads.
+    const std::string head = "name: t\ninit: *x=0\nthread 0:\n NOP\n";
+    EXPECT_NO_THROW(parseLitmus(head + "allowed: 0:X0=0\n"));
+    EXPECT_THROW(parseLitmus(head + "allowed: 1:X0=0\n"), FatalError);
+    EXPECT_THROW(parseLitmus(head + "allowed: *x=0 & 3:X0=0\n"),
+                 FatalError);
+    EXPECT_THROW(parseLitmus(head + "forbidden: 2000000000:X0=0\n"),
+                 FatalError);
+    // 2^32 must not narrow to thread 0.
+    EXPECT_THROW(parseLitmus(head + "allowed: 4294967296:X0=0\n"),
+                 FatalError);
+    try {
+        parseLitmus(head + "allowed: 3:X0=0\n");
+        ADD_FAILURE() << "a condition on thread 3 was accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("3:X0"),
+                  std::string::npos) << error.what();
+    }
+}
+
+TEST(FinalState, FieldsKeyAndCondition)
+{
+    LitmusTest test = parseLitmus(
+        "name: t\n"
+        "init: *y=5; *x=0; 0:X1=x; 1:X1=y\n"
+        "thread 0:\n NOP\n"
+        "thread 1:\n NOP\n"
+        "allowed: 1:X2=1 & *x=2 & 0:X10=3 & 1:X2=1\n");
+    EXPECT_EQ(atomName(test, test.finalCond.atoms[0]), "1:X2");
+    EXPECT_EQ(atomName(test, test.finalCond.atoms[1]), "*x");
+
+    // The condition's registers and every location, sorted by name,
+    // each once.
+    const FinalState final_state(test);
+    std::vector<std::string> names;
+    for (const FinalState::Field &field : final_state.fields())
+        names.push_back(field.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"*x", "*y", "0:X10",
+                                               "1:X2"}));
+
+    struct Source {
+        std::uint64_t finalReg(ThreadId tid, isa::RegId reg) const
+        {
+            return static_cast<std::uint64_t>(tid) * 100 + reg;
+        }
+        std::uint64_t finalMemValue(LocationId loc) const
+        {
+            return 7 + loc;
+        }
+    };
+    std::string key = "stale";
+    final_state.key(Source{}, key);
+    EXPECT_EQ(key, "*x=8;*y=7;0:X10=10;1:X2=102;");
+    EXPECT_FALSE(conditionHolds(test.finalCond, Source{}));
+
+    struct Satisfying {
+        std::uint64_t finalReg(ThreadId tid, isa::RegId) const
+        {
+            return tid == 0 ? 3 : 1;
+        }
+        std::uint64_t finalMemValue(LocationId) const { return 2; }
+    };
+    EXPECT_TRUE(conditionHolds(test.finalCond, Satisfying{}));
+}
+
 TEST(HerdFormat, ClassicMpParsesAndChecks)
 {
     const char *herd = R"(AArch64 MP-herd
@@ -270,6 +339,20 @@ TEST(HerdFormat, MalformedInputsDiagnoseCleanly)
     EXPECT_THROW(parseLitmus(
         "AArch64 t\n{ 999999999:X1=x; }\n P0 ;\n NOP ;\n"
         "exists (0:X0=0)\n"), FatalError);
+}
+
+TEST(HerdFormat, ConditionOnAMissingThreadIsRefused)
+{
+    const std::string head =
+        "AArch64 t\n{ x=0; 0:X1=x; }\n P0 ;\n LDR X0,[X1] ;\n";
+    EXPECT_NO_THROW(parseLitmus(head + "exists (0:X0=0)\n"));
+    EXPECT_THROW(parseLitmus(head + "exists (1:X0=0)\n"), FatalError);
+    EXPECT_THROW(parseLitmus(head + "~exists (x=0 /\\ 5:X0=0)\n"),
+                 FatalError);
+    EXPECT_THROW(parseHerdLitmus(head + "exists (2000000000:X0=0)\n"),
+                 FatalError);
+    EXPECT_THROW(parseHerdLitmus(head + "exists (4294967296:X0=0)\n"),
+                 FatalError);
 }
 
 /**

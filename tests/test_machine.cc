@@ -109,8 +109,8 @@ TEST(MachineTest, IssueSatisfyCommitFlow)
     applyOne(machine, Kind::Commit, 0);
     applyOne(machine, Kind::Issue, 0);  // issue "end" -> finished
     EXPECT_TRUE(machine.done());
-    EXPECT_EQ(machine.outcome().values.at("0:X0"), 7u);
-    EXPECT_EQ(machine.outcome().values.at("*x"), 7u);
+    EXPECT_EQ(machine.finalReg(0, 0), 7u);
+    EXPECT_EQ(machine.finalMemValue(test.locationId("x")), 7u);
 }
 
 TEST(MachineTest, ForwardingDisabledBlocksSatisfy)
@@ -241,7 +241,7 @@ TEST(MachineTest, FaultDrainsWindowBeforeRedirect)
     EXPECT_FALSE(of(machine, Kind::Issue, 0).empty());
     applyOne(machine, Kind::Issue, 0);  // fault -> handler
     drain(machine);
-    EXPECT_EQ(machine.outcome().values.at("0:X6"), 1u);
+    EXPECT_EQ(machine.finalReg(0, 6), 1u);
 }
 
 TEST(MachineTest, MandatoryInterruptBlocksIssue)
@@ -263,7 +263,7 @@ TEST(MachineTest, MandatoryInterruptBlocksIssue)
     EXPECT_EQ(ts[0].kind, Kind::TakeInterrupt);
     machine.apply(ts[0]);
     drain(machine);
-    EXPECT_EQ(machine.outcome().values.at("0:X3"), 1u);
+    EXPECT_EQ(machine.finalReg(0, 3), 1u);
 }
 
 TEST(MachineTest, SgiDeliversThroughGic)
@@ -287,7 +287,7 @@ TEST(MachineTest, SgiDeliversThroughGic)
     ASSERT_FALSE(of(machine, Kind::TakeInterrupt, 1).empty());
     applyOne(machine, Kind::TakeInterrupt, 1);
     drain(machine);
-    EXPECT_EQ(machine.outcome().values.at("1:X3"), 1u);
+    EXPECT_EQ(machine.finalReg(1, 3), 1u);
 }
 
 TEST(MachineTest, StateKeyDistinguishesStates)
@@ -382,7 +382,8 @@ TEST(MachineTest, SatisfyAndLaterIssueCommute)
  *  - a machine holding the previous sibling successor, with the
  *    segments that sibling moved restored from the parent, reaches the
  *    same keys by the transition as a full copy of the parent;
- *  - at a final state, outcomeKey() equals outcome().key();
+ *  - at a final state, outcomeKey() spells "name=value;" for each
+ *    FinalState field, in order, with the machine's final values;
  *  - every non-final state has an enabled transition (none is stuck).
  * Where persistentSet() is not every enabled transition, it also
  * checks the independence it rests on: the set is one enabled Issue,
@@ -403,6 +404,7 @@ checkSegmentInvariants(const LitmusTest &test, const CoreProfile &profile)
     std::vector<Machine> stack{Machine(test, profile)};
     std::unordered_set<std::string> seen{joined(keyOf(stack[0]))};
     std::vector<Machine::Transition> transitions, persistent;
+    const FinalState final_state(test);
     std::string outcome_key;
     auto has = [](const std::vector<Machine::Transition> &list,
                   const Machine::Transition &t) {
@@ -416,9 +418,14 @@ checkSegmentInvariants(const LitmusTest &test, const CoreProfile &profile)
         stack.pop_back();
         if (state.done()) {
             state.outcomeKey(outcome_key);
-            if (outcome_key != state.outcome().key()) {
+            std::string spelled;
+            for (const FinalState::Field &field : final_state.fields()) {
+                spelled += field.name + "=" +
+                    std::to_string(finalValue(field.place, state)) + ";";
+            }
+            if (outcome_key != spelled) {
                 ADD_FAILURE() << test.name << ": outcomeKey " << outcome_key
-                              << " != " << state.outcome().key();
+                              << " != " << spelled;
                 return seen.size();
             }
             continue;

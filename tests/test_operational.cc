@@ -45,9 +45,12 @@ using op::RunStats;
 std::set<std::string>
 allowedOutcomes(const LitmusTest &test, const ModelParams &params)
 {
+    const FinalState final_state(test);
     std::set<std::string> keys;
+    std::string key;
     forEachConsistent(test, params, [&](const CandidateExecution &cand) {
-        keys.insert(gen::outcomeKey(test, cand));
+        final_state.key(cand, key);
+        keys.insert(key);
     });
     return keys;
 }
@@ -221,7 +224,7 @@ exploreUnreduced(const LitmusTest &test, const CoreProfile &profile,
         if (state.done()) {
             state.outcomeKey(outcome);
             if (result.outcomes.insert(outcome).second &&
-                    state.outcome().satisfiesCondition(test)) {
+                    state.conditionHolds()) {
                 result.conditionReachable = true;
             }
             continue;
